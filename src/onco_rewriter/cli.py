@@ -31,9 +31,7 @@ from .model import (
     UMLModel,
     load_model,
     load_thesaurus,
-    model_signature,
 )
-from .module_extraction import extract_module, strip_disjoints
 from .ontology import (
     AxiomSet,
     Named,
@@ -47,6 +45,7 @@ from .pipeline import (
     RewriteOptions,
     prepare_context,
     rewrite_prepared,
+    thesaurus_module,
 )
 
 EXIT_OK = 0
@@ -118,11 +117,11 @@ def _prompt_selection(summaries: list[str]) -> int:
 
 def cmd_ontogen(config: Config) -> int:
     model = config.load_model()
-    module = extract_module(strip_disjoints(config.load_thesaurus()), model_signature(model))
-    ontology = generate_ontology(model, module.to_axiom_set())
+    module_axioms = thesaurus_module(model, config.load_thesaurus()).to_axiom_set()
+    ontology = generate_ontology(model, module_axioms)
     assert config.out_dir is not None
     ontology_path = _write(config.out_dir, "ontology.axioms", serialize_axioms(ontology))
-    module_path = _write(config.out_dir, "module.axioms", serialize_axioms(module.to_axiom_set()))
+    module_path = _write(config.out_dir, "module.axioms", serialize_axioms(module_axioms))
     print(f"wrote {ontology_path}")
     print(f"wrote {module_path}")
     return EXIT_OK
@@ -130,7 +129,7 @@ def cmd_ontogen(config: Config) -> int:
 
 def cmd_module(config: Config) -> int:
     model = config.load_model()
-    module = extract_module(strip_disjoints(config.load_thesaurus()), model_signature(model))
+    module = thesaurus_module(model, config.load_thesaurus())
     assert config.out_dir is not None
     module_path = _write(config.out_dir, "module.axioms", serialize_axioms(module.to_axiom_set()))
     print(f"wrote {module_path}")

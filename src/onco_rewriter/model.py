@@ -17,9 +17,33 @@ silently repairing anything.
 from __future__ import annotations
 
 import json
+from collections import Counter
+from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 DATATYPES = ("string", "integer", "float", "boolean", "date")
+
+
+def closure(starts: Iterable[str], successors: Callable[[str], Collection[str]]) -> list[str]:
+    """Everything reachable from ``starts`` through ``successors``, starts
+    included, each once, in depth-first preorder: the order a recursive walk
+    would visit them in, from an explicit stack so depth costs no recursion."""
+    seen: set[str] = set()
+    order: list[str] = []
+    stack = [iter(starts)]
+    while stack:
+        for node in stack[-1]:
+            if node not in seen:
+                seen.add(node)
+                order.append(node)
+                following = successors(node)
+                if following:
+                    stack.append(iter(following))
+                    break
+        else:
+            stack.pop()
+    return order
 
 
 class ModelLoadError(ValueError):
@@ -81,11 +105,13 @@ class UMLModel:
     classes: tuple[UMLClass, ...] = ()
     associations: tuple[UMLAssociation, ...] = ()
 
+    @cached_property
+    def _classes_by_name(self) -> dict[str, UMLClass]:
+        # the first of two same-named classes wins, as a scan would find it
+        return {cls.name: cls for cls in reversed(self.classes)}
+
     def class_named(self, name: str) -> UMLClass:
-        for cls in self.classes:
-            if cls.name == name:
-                return cls
-        raise KeyError(name)
+        return self._classes_by_name[name]
 
     def class_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.classes)
@@ -96,16 +122,9 @@ class UMLModel:
     def ancestors(self, class_name: str) -> tuple[str, ...]:
         """Proper ancestors in deterministic order: depth-first over the
         declared superclass lists, each ancestor reported once."""
-        seen: list[str] = []
-
-        def visit(name: str) -> None:
-            for sup in self.class_named(name).superclasses:
-                if sup not in seen:
-                    seen.append(sup)
-                    visit(sup)
-
-        visit(class_name)
-        return tuple(seen)
+        by_name = self._classes_by_name
+        supers = by_name[class_name].superclasses
+        return tuple(closure(supers, lambda name: by_name[name].superclasses))
 
 
 @dataclass(frozen=True)
@@ -123,9 +142,6 @@ class Thesaurus:
     @property
     def concept_set(self) -> frozenset[str]:
         return frozenset(self.concepts)
-
-    def parents_of(self, concept: str) -> tuple[str, ...]:
-        return tuple(p for c, p in self.subsumptions if c == concept)
 
 
 @dataclass(frozen=True)
@@ -224,10 +240,10 @@ def load_model(document: str) -> UMLModel:
                     annotation=_parse_annotation(raw_attr.get("annotation"), aloc),
                 )
             )
-        attr_names = [a.name for a in attributes]
-        for attr_name in attr_names:
-            if attr_names.count(attr_name) > 1:
-                raise ModelLoadError(f"duplicate attribute name '{attr_name}'", loc)
+        attr_counts = Counter(a.name for a in attributes)
+        for attr in attributes:
+            if attr_counts[attr.name] > 1:
+                raise ModelLoadError(f"duplicate attribute name '{attr.name}'", loc)
         classes.append(
             UMLClass(
                 name=name,
@@ -238,8 +254,9 @@ def load_model(document: str) -> UMLModel:
         )
 
     names = [c.name for c in classes]
+    name_counts = Counter(names)
     for i, name in enumerate(names):
-        if names.count(name) > 1:
+        if name_counts[name] > 1:
             raise ModelLoadError(f"duplicate class name '{name}'", f"classes[{i}]")
     name_set = set(names)
 
@@ -266,7 +283,9 @@ def load_model(document: str) -> UMLModel:
         seen_roles.add((source, role))
         associations.append(UMLAssociation(source=source, role_name=role, target=target))
 
-    _check_generalization_acyclic(classes)
+    cycle = _find_cycle({c.name: c.superclasses for c in classes})
+    if cycle is not None:
+        raise ModelLoadError(f"generalization cycle: {' -> '.join(cycle)}", f"class '{cycle[-1]}'")
 
     return UMLModel(
         project_name=project,
@@ -277,12 +296,14 @@ def load_model(document: str) -> UMLModel:
     )
 
 
-def _check_generalization_acyclic(classes: list[UMLClass]) -> None:
-    supers = {c.name: c.superclasses for c in classes}
+def _find_cycle(parents: Mapping[str, Sequence[str]]) -> list[str] | None:
+    """The first cycle a depth-first walk over ``parents`` meets, as the path
+    from its start to the repeated name, or None for an acyclic map. Every
+    parent must be a key."""
     # iterative DFS with colouring; a grey revisit is a cycle
     WHITE, GREY, BLACK = 0, 1, 2
-    colour = {name: WHITE for name in supers}
-    for start in supers:
+    colour = {name: WHITE for name in parents}
+    for start in parents:
         if colour[start] != WHITE:
             continue
         stack: list[tuple[str, int]] = [(start, 0)]
@@ -290,12 +311,11 @@ def _check_generalization_acyclic(classes: list[UMLClass]) -> None:
         path = [start]
         while stack:
             name, idx = stack[-1]
-            if idx < len(supers[name]):
+            if idx < len(parents[name]):
                 stack[-1] = (name, idx + 1)
-                nxt = supers[name][idx]
+                nxt = parents[name][idx]
                 if colour[nxt] == GREY:
-                    cycle = " -> ".join(path + [nxt])
-                    raise ModelLoadError(f"generalization cycle: {cycle}", f"class '{nxt}'")
+                    return path + [nxt]
                 if colour[nxt] == WHITE:
                     colour[nxt] = GREY
                     stack.append((nxt, 0))
@@ -304,6 +324,7 @@ def _check_generalization_acyclic(classes: list[UMLClass]) -> None:
                 colour[name] = BLACK
                 stack.pop()
                 path.pop()
+    return None
 
 
 def load_thesaurus(document: str) -> Thesaurus:
@@ -348,43 +369,18 @@ def load_thesaurus(document: str) -> Thesaurus:
         else:
             raise ThesaurusLoadError(f"unknown keyword '{keyword}'", lineno)
 
-    _check_subsumption_acyclic(subsumptions)
+    parents: dict[str, list[str]] = {}
+    for child, parent in subsumptions:
+        parents.setdefault(child, []).append(parent)
+        parents.setdefault(parent, [])
+    cycle = _find_cycle(parents)
+    if cycle is not None:
+        raise ThesaurusLoadError(f"subsumption cycle: {' -> '.join(cycle)}")
     return Thesaurus(
         concepts=tuple(concepts),
         subsumptions=tuple(subsumptions),
         disjointness=tuple(disjoints),
     )
-
-
-def _check_subsumption_acyclic(subsumptions: list[tuple[str, str]]) -> None:
-    parents: dict[str, list[str]] = {}
-    for child, parent in subsumptions:
-        parents.setdefault(child, []).append(parent)
-        parents.setdefault(parent, [])
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = {name: WHITE for name in parents}
-    for start in parents:
-        if colour[start] != WHITE:
-            continue
-        stack = [(start, 0)]
-        colour[start] = GREY
-        path = [start]
-        while stack:
-            name, idx = stack[-1]
-            if idx < len(parents[name]):
-                stack[-1] = (name, idx + 1)
-                nxt = parents[name][idx]
-                if colour[nxt] == GREY:
-                    cycle = " -> ".join(path + [nxt])
-                    raise ThesaurusLoadError(f"subsumption cycle: {cycle}")
-                if colour[nxt] == WHITE:
-                    colour[nxt] = GREY
-                    stack.append((nxt, 0))
-                    path.append(nxt)
-            else:
-                colour[name] = BLACK
-                stack.pop()
-                path.pop()
 
 
 def model_signature(model: UMLModel) -> Signature:

@@ -1,10 +1,12 @@
 """Signature-driven module extraction from thesaurus axiom sets.
 
 The thesaurus fragment handled here is acyclic named-to-named subsumption
-only, so locality-based extraction reduces to upward closure from the
-signature: keep every axiom whose left-hand side is already relevant and let
-its right-hand side become relevant too, until nothing changes. The module
-then preserves exactly the subsumptions expressible over the signature.
+only, so the locality-based module of a signature reduces to its upward
+closure (Cuenca Grau, Horrocks, Kazakov and Sattler, "Modular Reuse of
+Ontologies", JAIR 2008): every concept reachable from the signature through
+subsumption axioms, and the axioms whose left-hand side is one of them. The
+module then preserves exactly the subsumptions expressible over the
+signature.
 
 Disjointness is stripped before extraction: concept-to-class mappings use
 subsumption, and a class annotated from two disjoint thesaurus branches must
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Signature, Thesaurus
+from .model import Signature, Thesaurus, closure
 from .ontology import DEFAULT_PREFIXES, AxiomSet, Named, SubClassOf, concept_name
 
 
@@ -49,27 +51,16 @@ def strip_disjoints(thesaurus: Thesaurus) -> ThesaurusAxiomSet:
 def extract_module(thesaurus_axioms: ThesaurusAxiomSet, sigma: Signature) -> ThesaurusAxiomSet:
     """Upward-closure module for the signature sigma.
 
-    Iterates to fixpoint: any axiom whose left-hand side is in the current
-    relevant-name set is kept, and its right-hand side joins the set.
+    Walks the sub-to-sup parent map once from the signature's names and keeps,
+    in source order, every axiom whose left-hand side the walk reached.
     """
     if not thesaurus_axioms.disjoints_removed:
         raise ValueError("strip_disjoints must run before module extraction")
-    relevant: set[str] = {concept_name(name) for name in sigma.concept_names}
-    kept: list[SubClassOf] = []
-    kept_idx: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for i, axiom in enumerate(thesaurus_axioms.axioms):
-            if i in kept_idx:
-                continue
-            assert isinstance(axiom.sub, Named) and isinstance(axiom.sup, Named)
-            if axiom.sub.name in relevant:
-                kept_idx.add(i)
-                kept.append(axiom)
-                if axiom.sup.name not in relevant:
-                    relevant.add(axiom.sup.name)
-                changed = True
-    # preserve the source ordering of the kept axioms
-    ordered = tuple(a for a in thesaurus_axioms.axioms if a in set(kept))
-    return ThesaurusAxiomSet(axioms=ordered, disjoints_removed=True)
+    parents: dict[str, list[str]] = {}
+    for axiom in thesaurus_axioms.axioms:
+        assert isinstance(axiom.sub, Named) and isinstance(axiom.sup, Named)
+        parents.setdefault(axiom.sub.name, []).append(axiom.sup.name)
+    starts = [concept_name(name) for name in sigma.concept_names]
+    relevant = set(closure(starts, lambda name: parents.get(name, ())))
+    kept = tuple(a for a in thesaurus_axioms.axioms if a.sub.name in relevant)
+    return ThesaurusAxiomSet(axioms=kept, disjoints_removed=True)

@@ -262,26 +262,16 @@ class _Parser:
 
     def parse_term(self) -> QueryNode:
         token = self.peek()
-        if token is None:
-            raise QuerySyntaxError("unexpected end of query", self.end)
-        if token.kind == "LPAREN":
-            self.take()
-            expr = self.parse_expr()
-            closing = self.take()
-            if closing.kind != "RPAREN":
-                raise QuerySyntaxError("expected ')'", closing.position)
-            return expr
-        if token.kind == "NAME":
-            self.take()
-            return ConceptRef(token.text)
-        if token.kind == "KEYWORD" and token.text in ("hasAssociation", "hasAttribute"):
+        if token is None or token.kind != "KEYWORD":
+            return self.parse_primary()
+        if token.text in ("hasAssociation", "hasAttribute"):
             self.take()
             self.expect_keyword("some")
             inner = self.parse_primary()
             if token.text == "hasAssociation":
                 return HasAssociationSome(inner)
             return HasAttributeSome(inner)
-        if token.kind == "KEYWORD" and token.text == "hasValue":
+        if token.text == "hasValue":
             self.take()
             self.expect_keyword("value")
             literal = self.take()
@@ -952,12 +942,19 @@ class RewriteOutcome:
     dropped: tuple[tuple[Provenance, str], ...] = ()
 
 
+def thesaurus_module(model: UMLModel, thesaurus: Thesaurus) -> ThesaurusAxiomSet:
+    """The module of the disjointness-free thesaurus for the model's
+    annotation signature."""
+    return extract_module(strip_disjoints(thesaurus), model_signature(model))
+
+
 def prepare_context(model: UMLModel, thesaurus: Thesaurus) -> RewriteContext:
     """Generate the ontology and thesaurus module for a model and classify
     their union."""
-    module = extract_module(strip_disjoints(thesaurus), model_signature(model))
-    ontology = generate_ontology(model, module.to_axiom_set())
-    merged = merge_axiom_sets(ontology, module.to_axiom_set())
+    module = thesaurus_module(model, thesaurus)
+    module_axioms = module.to_axiom_set()
+    ontology = generate_ontology(model, module_axioms)
+    merged = merge_axiom_sets(ontology, module_axioms)
     return RewriteContext(
         model=model,
         naming=model_naming(model),

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .model import closure
 from .ontology import (
     HAS_ASSOCIATION,
     HAS_ATTRIBUTE,
@@ -120,17 +121,7 @@ def classify(axiom_set: AxiomSet) -> SubsumptionIndex:
             prop_parents.setdefault(axiom.property_name, set())
 
     # reflexive-transitive closure of the property hierarchy
-    prop_subsumers: dict[str, set[str]] = {}
-    for prop in prop_parents:
-        closure = {prop}
-        frontier = [prop]
-        while frontier:
-            current = frontier.pop()
-            for parent in prop_parents.get(current, ()):
-                if parent not in closure:
-                    closure.add(parent)
-                    frontier.append(parent)
-        prop_subsumers[prop] = closure
+    prop_subsumers = {prop: set(closure([prop], prop_parents.__getitem__)) for prop in prop_parents}
 
     def under_association(prop: str) -> bool:
         return HAS_ASSOCIATION in prop_subsumers.get(prop, {prop})
@@ -164,17 +155,7 @@ def classify(axiom_set: AxiomSet) -> SubsumptionIndex:
         direct_attrs.setdefault(name, set())
 
     # reflexive-transitive closure of named subsumption (cycles permitted)
-    subsumers: dict[str, frozenset[str]] = {}
-    for name in names:
-        closure = {name}
-        frontier = [name]
-        while frontier:
-            current = frontier.pop()
-            for parent in direct_sup.get(current, ()):
-                if parent not in closure:
-                    closure.add(parent)
-                    frontier.append(parent)
-        subsumers[name] = frozenset(closure)
+    subsumers = {name: frozenset(closure([name], direct_sup.__getitem__)) for name in names}
 
     # inherit edges and attributes down the subsumption hierarchy
     assoc_edges: dict[str, frozenset[tuple[str, str]]] = {}
@@ -189,17 +170,8 @@ def classify(axiom_set: AxiomSet) -> SubsumptionIndex:
         attribute_of[name] = frozenset(attrs)
 
     # transitive reachability over the one-step edge relation
-    reach: dict[str, frozenset[str]] = {}
-    for name in names:
-        reached: set[str] = set()
-        frontier = [r for _, r in assoc_edges[name]]
-        while frontier:
-            current = frontier.pop()
-            if current in reached:
-                continue
-            reached.add(current)
-            frontier.extend(r for _, r in assoc_edges.get(current, ()))
-        reach[name] = frozenset(reached)
+    targets = {name: [r for _, r in edges] for name, edges in assoc_edges.items()}
+    reach = {name: frozenset(closure(targets[name], targets.__getitem__)) for name in names}
 
     return SubsumptionIndex(
         subsumers=subsumers,

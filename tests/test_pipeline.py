@@ -112,6 +112,13 @@ def test_parse_rejects_keyword_soup():
         parse_query("and and")
 
 
+@pytest.mark.parametrize("text", [")", '"abc"', "Gene and )"])
+def test_parse_rejects_non_concept_in_term_position(text):
+    with pytest.raises(QuerySyntaxError, match="expected a concept name or parenthesized") as info:
+        parse_query(text)
+    assert info.value.stage == "parse"
+
+
 def test_parse_rejects_trailing_tokens():
     with pytest.raises(QuerySyntaxError, match="trailing"):
         parse_query("Gene Gene")
