@@ -110,14 +110,26 @@ class UMLModel:
         # the first of two same-named classes wins, as a scan would find it
         return {cls.name: cls for cls in reversed(self.classes)}
 
+    @cached_property
+    def _associations_by_source(self) -> dict[str, tuple[UMLAssociation, ...]]:
+        by_source: dict[str, list[UMLAssociation]] = {}
+        for assoc in self.associations:
+            by_source.setdefault(assoc.source, []).append(assoc)
+        return {source: tuple(assocs) for source, assocs in by_source.items()}
+
     def class_named(self, name: str) -> UMLClass:
         return self._classes_by_name[name]
+
+    def has_class(self, name: str) -> bool:
+        return name in self._classes_by_name
 
     def class_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.classes)
 
     def associations_from(self, class_name: str) -> tuple[UMLAssociation, ...]:
-        return tuple(a for a in self.associations if a.source == class_name)
+        """The associations declared with ``class_name`` as source, in
+        declaration order."""
+        return self._associations_by_source.get(class_name, ())
 
     def ancestors(self, class_name: str) -> tuple[str, ...]:
         """Proper ancestors in deterministic order: depth-first over the

@@ -24,15 +24,15 @@ Names are thesaurus concept identifiers and keywords are case-sensitive.
 from __future__ import annotations
 
 import itertools
+import math
 import time
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 
 from .cql import CqlAssociation, CqlAttribute, CqlGroup, CqlQuery, CqlTarget
 from .model import Thesaurus, UMLModel, model_signature
 from .module_extraction import ThesaurusAxiomSet, extract_module, strip_disjoints
 from .ontology import (
-    UML_ATTRIBUTE,
-    UML_CLASS,
     AxiomSet,
     ModelNaming,
     generate_ontology,
@@ -369,27 +369,45 @@ class CandidateQuery:
         )
 
 
-def extract_uml(ast: QueryNode, index: SubsumptionIndex) -> list[CandidateQuery]:
-    """Replace every concept reference by each UML class (or attribute class)
-    entailed to be subsumed by it; independent choices multiply out and the
-    result is ordered lexicographically by the chosen names."""
-    class_pool = sorted(
-        name
-        for name, sups in index.subsumers.items()
-        if name.startswith("c:") and UML_CLASS in sups
-    )
-    attribute_pool = sorted(
-        name
-        for name, sups in index.subsumers.items()
-        if name.startswith("c:") and UML_ATTRIBUTE in sups
-    )
+class LazyProduct(Sequence):
+    """``build(combo)`` for every ``combo`` of ``itertools.product(*choices)``,
+    in that order, each built only when read. The length is known before
+    any element exists, so a bound can be checked without building."""
 
+    def __init__(self, choices: Sequence[Sequence], build: Callable[[tuple], object]):
+        self._choices = choices
+        self._build = build
+        self._length = math.prod(len(options) for options in choices)
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, position: int):
+        if position < 0:
+            position += self._length
+        if not 0 <= position < self._length:
+            raise IndexError("product index out of range")
+        combo = []
+        for options in reversed(self._choices):
+            position, digit = divmod(position, len(options))
+            combo.append(options[digit])
+        return self._build(tuple(reversed(combo)))
+
+    def __iter__(self):
+        return map(self._build, itertools.product(*self._choices))
+
+
+def extract_uml(ast: QueryNode, index: SubsumptionIndex) -> LazyProduct:
+    """Replace every concept reference by each UML class (or attribute class)
+    entailed to be subsumed by it; independent choices multiply out. The
+    pools are sorted, so the product comes ordered lexicographically by the
+    chosen names."""
     occurrences: list[tuple[str, list[str]]] = []
 
     def collect(node: QueryNode, attribute_position: bool) -> None:
         if isinstance(node, ConceptRef):
             concept = f"n:{node.name}"
-            pool = attribute_pool if attribute_position else class_pool
+            pool = index.uml_attribute_classes if attribute_position else index.uml_classes
             matches = [x for x in pool if concept in index.subsumers[x]]
             if not matches:
                 raise NoUmlCandidateError(node.name)
@@ -404,29 +422,25 @@ def extract_uml(ast: QueryNode, index: SubsumptionIndex) -> list[CandidateQuery]
 
     collect(ast, False)
 
-    results: list[CandidateQuery] = []
-    for combo in itertools.product(*(matches for _, matches in occurrences)):
-        chosen = iter(combo)
+    def rebuild(node: QueryNode, attribute_position: bool, chosen) -> QueryNode:
+        if isinstance(node, ConceptRef):
+            name = next(chosen)
+            return UmlAttributeRef(name) if attribute_position else UmlClassRef(name)
+        if isinstance(node, And):
+            return And(tuple(rebuild(i, attribute_position, chosen) for i in node.items))
+        if isinstance(node, HasAssociationSome):
+            return HasAssociationSome(rebuild(node.inner, False, chosen))
+        if isinstance(node, HasAttributeSome):
+            return HasAttributeSome(rebuild(node.inner, True, chosen))
+        return node
 
-        def rebuild(node: QueryNode, attribute_position: bool) -> QueryNode:
-            if isinstance(node, ConceptRef):
-                name = next(chosen)
-                return UmlAttributeRef(name) if attribute_position else UmlClassRef(name)
-            if isinstance(node, And):
-                return And(tuple(rebuild(i, attribute_position) for i in node.items))
-            if isinstance(node, HasAssociationSome):
-                return HasAssociationSome(rebuild(node.inner, False))
-            if isinstance(node, HasAttributeSome):
-                return HasAttributeSome(rebuild(node.inner, True))
-            return node
-
-        ast_resolved = rebuild(ast, False)
-        choices = tuple(
-            (concept, name) for (concept, _), name in zip(occurrences, combo)
+    def build(combo: tuple[str, ...]) -> CandidateQuery:
+        choices = tuple((concept, name) for (concept, _), name in zip(occurrences, combo))
+        return CandidateQuery(
+            ast=rebuild(ast, False, iter(combo)), provenance=Provenance(concept_choices=choices)
         )
-        results.append(CandidateQuery(ast=ast_resolved, provenance=Provenance(concept_choices=choices)))
-    results.sort(key=lambda c: c.order_key)
-    return results
+
+    return LazyProduct([matches for _, matches in occurrences], build)
 
 
 # --- data value extraction / re-addition -------------------------------------
@@ -604,7 +618,7 @@ def _chain_from_path(path: AssociationPath, final_inner: QueryNode) -> QueryNode
 
 def find_property_paths(
     stripped: QueryNode, index: SubsumptionIndex, max_nodes: int = 16
-) -> list[CandidateQuery]:
+) -> LazyProduct:
     """Replace every transitive-association restriction by each concrete role
     chain that realizes it; independent occurrences multiply out in the path
     order of the reasoner."""
@@ -623,27 +637,24 @@ def find_property_paths(
 
     collect(stripped)
 
-    results: list[CandidateQuery] = []
-    for combo in itertools.product(*(paths for _, _, paths in occurrences)):
-        chosen = iter(combo)
+    def rebuild(node: QueryNode, chosen) -> QueryNode:
+        if isinstance(node, And):
+            return And(tuple(rebuild(i, chosen) for i in node.items))
+        if isinstance(node, HasAssociationSome):
+            path = next(chosen)
+            return _chain_from_path(path, rebuild(node.inner, chosen))
+        return node
 
-        def rebuild(node: QueryNode) -> QueryNode:
-            if isinstance(node, And):
-                return And(tuple(rebuild(i) for i in node.items))
-            if isinstance(node, HasAssociationSome):
-                path = next(chosen)
-                return _chain_from_path(path, rebuild(node.inner))
-            return node
-
-        expanded = rebuild(stripped)
+    def build(combo: tuple[AssociationPath, ...]) -> CandidateQuery:
         path_choices = tuple(
             (source, target, path.properties)
             for (source, target, _), path in zip(occurrences, combo)
         )
-        results.append(
-            CandidateQuery(ast=expanded, provenance=Provenance(path_choices=path_choices))
+        return CandidateQuery(
+            ast=rebuild(stripped, iter(combo)), provenance=Provenance(path_choices=path_choices)
         )
-    return results
+
+    return LazyProduct([paths for _, _, paths in occurrences], build)
 
 
 # --- monoid comprehension ---------------------------------------------------------
@@ -768,10 +779,9 @@ def mcc_to_cql(comprehension: MccComprehension, model: UMLModel) -> CqlQuery:
     the target, each generator pair a nested association, each filter an
     attribute restriction."""
     prefix = model.package_prefix
-    known_classes = set(model.class_names())
 
     def qualified(cls: str) -> str:
-        if cls not in known_classes:
+        if not model.has_class(cls):
             raise MccError(f"class '{cls}' is not part of model '{model.project_name}'")
         return f"{prefix}.{cls}" if prefix else cls
 
@@ -983,6 +993,7 @@ def rewrite_prepared(
     candidates = timed("umlExtract", extract_uml, ast, context.index)
     if len(candidates) > options.candidate_limit:
         raise CandidateLimitError("umlExtract", len(candidates), options.candidate_limit)
+    candidates = timed("umlExtract", list, candidates)
 
     max_nodes = options.max_nodes if options.expand_paths else 2
     results: list[RewriteResult] = []
@@ -1006,7 +1017,7 @@ def rewrite_prepared(
             raise CandidateLimitError(
                 "pathFind", len(results) + len(expansions), options.candidate_limit
             )
-        for expansion in expansions:
+        for expansion in timed("pathFind", list, expansions):
             provenance = replace(
                 expansion.provenance, concept_choices=candidate.provenance.concept_choices
             )

@@ -11,17 +11,22 @@ superclasses is handled at the point of matching instead (a reachability or
 path query matches a terminal class polymorphically, in either subsumption
 direction). Path enumeration is exhaustive over simple paths up to a node
 budget, so a query over the transitive association abstraction can be
-rewritten into every concrete role chain that realizes it.
+rewritten into every concrete role chain that realizes it. The walk keeps
+its own stack, so the budget, not the interpreter's recursion limit, bounds
+the path length; a final sort fixes the order of the paths it finds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .model import closure
 from .ontology import (
     HAS_ASSOCIATION,
     HAS_ATTRIBUTE,
+    UML_ATTRIBUTE,
+    UML_CLASS,
     AxiomSet,
     Conjunction,
     DataExistential,
@@ -81,6 +86,21 @@ class SubsumptionIndex:
 
     def known(self, name: str) -> bool:
         return name in self.subsumers
+
+    @cached_property
+    def uml_classes(self) -> tuple[str, ...]:
+        """The UML classes of the model, sorted."""
+        return self._subsumed_by(UML_CLASS)
+
+    @cached_property
+    def uml_attribute_classes(self) -> tuple[str, ...]:
+        """The classes of the model's attributes, sorted."""
+        return self._subsumed_by(UML_ATTRIBUTE)
+
+    def _subsumed_by(self, kind: str) -> tuple[str, ...]:
+        return tuple(sorted(
+            name for name, sups in self.subsumers.items() if name.startswith("c:") and kind in sups
+        ))
 
 
 def _decompose(lhs: str, expr, named_out, exist_out) -> None:
@@ -219,8 +239,10 @@ def find_paths(
     """All simple association paths from source to a class matching target.
 
     Intermediate steps follow declared ranges verbatim; only the final step
-    matches target polymorphically. Results are ordered by node count, then
-    lexicographically by property and range names.
+    matches target polymorphically. The walk is depth-first over an explicit
+    stack, taking edges in stored order; the results are then sorted by node
+    count, then lexicographically by property and range names, a key that
+    tells any two paths apart.
     """
     if max_nodes < 2:
         raise ValueError("max_nodes must be at least 2")
@@ -228,23 +250,28 @@ def find_paths(
         if not index.known(name):
             raise UnknownNameError(name)
 
+    matches: dict[str, bool] = {}
     found: list[AssociationPath] = []
     steps: list[tuple[str, str]] = []
     visited: set[str] = {source}
-
-    def walk(current: str) -> None:
-        for prop, rng in sorted(index.assoc_edges[current]):
+    stack = [iter(index.assoc_edges[source])]
+    while stack:
+        for prop, rng in stack[-1]:
             if rng in visited:
                 continue
             steps.append((prop, rng))
-            if _polymorphic_match(index, rng, target):
+            if rng not in matches:
+                matches[rng] = _polymorphic_match(index, rng, target)
+            if matches[rng]:
                 found.append(AssociationPath(source_class=source, steps=tuple(steps)))
             if len(steps) + 1 < max_nodes:
                 visited.add(rng)
-                walk(rng)
-                visited.discard(rng)
+                stack.append(iter(index.assoc_edges[rng]))
+                break
             steps.pop()
-
-    walk(source)
+        else:
+            stack.pop()
+            if steps:
+                visited.discard(steps.pop()[1])
     found.sort(key=lambda p: (p.node_count, p.properties, p.nodes))
     return found
