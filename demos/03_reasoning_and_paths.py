@@ -1,9 +1,10 @@
 """Classify the generated ontology and find association paths.
 
 Classification saturates the axiom set into an index: named subsumption
-(reflexive and transitive), the attribute classes each class carries, the
-association edges it carries (inherited ones included), and transitive
-reachability over those edges. Because every concrete association is a
+(reflexive and transitive), the attribute classes each class carries, and
+the association edges it carries (inherited ones included). Transitive
+reachability over those edges is worked out for a source class when it is
+first asked for. Because every concrete association is a
 sub-property of one transitive upper property, asking whether two classes
 are connected reduces to reachability; rewriting that abstract connection
 into concrete role chains is exhaustive simple-path enumeration.

@@ -919,7 +919,6 @@ class RewriteOptions:
     max_nodes: int = 16
     candidate_limit: int = 64
     selection: str = "all"  # all | first | interactive
-    expand_paths: bool = True
     chooser: object = None  # callable(list[str]) -> int, for interactive selection
 
 
@@ -995,7 +994,6 @@ def rewrite_prepared(
         raise CandidateLimitError("umlExtract", len(candidates), options.candidate_limit)
     candidates = timed("umlExtract", list, candidates)
 
-    max_nodes = options.max_nodes if options.expand_paths else 2
     results: list[RewriteResult] = []
     dropped: list[tuple[Provenance, str]] = []
     last_error: PipelineError | None = None
@@ -1008,7 +1006,9 @@ def rewrite_prepared(
             last_error = error
             continue
         try:
-            expansions = timed("pathFind", find_property_paths, stripped, context.index, max_nodes)
+            expansions = timed(
+                "pathFind", find_property_paths, stripped, context.index, options.max_nodes
+            )
         except NoPathError as error:
             dropped.append((candidate.provenance, str(error)))
             last_error = error

@@ -1,10 +1,11 @@
 """Saturation reasoning over generated EL axiom sets.
 
-classify() computes four relations in polynomial time: the reflexive and
+classify() computes three relations in polynomial time: the reflexive and
 transitively closed named subsumption, the attribute classes each class can
-reach through hasAttribute (inherited included), the association edges each
-class carries (inherited included, ranges kept as declared), and the
-transitive reachability over those edges.
+reach through hasAttribute (inherited included), and the association edges
+each class carries (inherited included, ranges kept as declared).
+Transitive reachability over those edges is not precomputed: it is answered
+per source on the first query for that source and kept on the index.
 
 Association ranges stay verbatim on edges; widening a range to one of its
 superclasses is handled at the point of matching instead (a reachability or
@@ -18,7 +19,8 @@ the path length; a final sort fixes the order of the paths it finds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .model import closure
@@ -82,7 +84,8 @@ class SubsumptionIndex:
     subsumers: dict[str, frozenset[str]]
     attribute_of: dict[str, frozenset[str]]
     assoc_edges: dict[str, frozenset[tuple[str, str]]]
-    reach: dict[str, frozenset[str]]
+    # classes reachable through association edges, filled per queried source
+    reach: dict[str, frozenset[str]] = field(default_factory=dict, compare=False, repr=False)
 
     def known(self, name: str) -> bool:
         return name in self.subsumers
@@ -127,7 +130,7 @@ def classify(axiom_set: AxiomSet) -> SubsumptionIndex:
     named_subs: list[tuple[str, str]] = []
     existentials: list[tuple[str, str, object]] = []
     prop_parents: dict[str, set[str]] = {}
-    names: set[str] = set(axiom_set.class_names())
+    names = axiom_set.class_names()
 
     for axiom in axiom_set.axioms:
         if isinstance(axiom, SubClassOf):
@@ -147,32 +150,18 @@ def classify(axiom_set: AxiomSet) -> SubsumptionIndex:
         return HAS_ASSOCIATION in prop_subsumers.get(prop, {prop})
 
     # direct relations prior to closure
-    direct_sup: dict[str, set[str]] = {name: set() for name in names}
-    direct_edges: dict[str, set[tuple[str, str]]] = {name: set() for name in names}
-    direct_attrs: dict[str, set[str]] = {name: set() for name in names}
+    direct_sup: defaultdict[str, set[str]] = defaultdict(set)
+    direct_edges: defaultdict[str, set[tuple[str, str]]] = defaultdict(set)
+    direct_attrs: defaultdict[str, set[str]] = defaultdict(set)
     for sub, sup in named_subs:
-        direct_sup.setdefault(sub, set()).add(sup)
-        direct_sup.setdefault(sup, set())
-        names.update((sub, sup))
+        direct_sup[sub].add(sup)
     for lhs, prop, filler in existentials:
-        names.add(lhs)
-        direct_sup.setdefault(lhs, set())
-        if isinstance(filler, Named):
-            names.add(filler.name)
-            direct_sup.setdefault(filler.name, set())
-            direct_edges.setdefault(filler.name, set())
-            direct_attrs.setdefault(filler.name, set())
-            if prop == HAS_ATTRIBUTE:
-                direct_attrs.setdefault(lhs, set()).add(filler.name)
-            elif under_association(prop):
-                direct_edges.setdefault(lhs, set()).add((prop, filler.name))
         # compound fillers (noted qualifier lists) contribute no index entries
-        direct_edges.setdefault(lhs, set())
-        direct_attrs.setdefault(lhs, set())
-    for name in names:
-        direct_sup.setdefault(name, set())
-        direct_edges.setdefault(name, set())
-        direct_attrs.setdefault(name, set())
+        if isinstance(filler, Named):
+            if prop == HAS_ATTRIBUTE:
+                direct_attrs[lhs].add(filler.name)
+            elif under_association(prop):
+                direct_edges[lhs].add((prop, filler.name))
 
     # reflexive-transitive closure of named subsumption (cycles permitted)
     subsumers = {name: frozenset(closure([name], direct_sup.__getitem__)) for name in names}
@@ -189,22 +178,19 @@ def classify(axiom_set: AxiomSet) -> SubsumptionIndex:
         assoc_edges[name] = frozenset(edges)
         attribute_of[name] = frozenset(attrs)
 
-    # transitive reachability over the one-step edge relation
-    targets = {name: [r for _, r in edges] for name, edges in assoc_edges.items()}
-    reach = {name: frozenset(closure(targets[name], targets.__getitem__)) for name in names}
-
     return SubsumptionIndex(
-        subsumers=subsumers,
-        attribute_of=attribute_of,
-        assoc_edges=assoc_edges,
-        reach=reach,
+        subsumers=subsumers, attribute_of=attribute_of, assoc_edges=assoc_edges
     )
 
 
-def entails_subclass(index: SubsumptionIndex, sub: str, sup: str) -> bool:
-    for name in (sub, sup):
+def _require_known(index: SubsumptionIndex, *names: str) -> None:
+    for name in names:
         if not index.known(name):
             raise UnknownNameError(name)
+
+
+def entails_subclass(index: SubsumptionIndex, sub: str, sup: str) -> bool:
+    _require_known(index, sub, sup)
     return sup in index.subsumers[sub]
 
 
@@ -220,10 +206,13 @@ def association_reachable(index: SubsumptionIndex, source: str, target: str) -> 
     Reachability here mirrors path enumeration, which only returns simple
     paths: a class sitting on a cycle does not reach itself.
     """
-    for name in (source, target):
-        if not index.known(name):
-            raise UnknownNameError(name)
-    reached_set = index.reach[source]
+    _require_known(index, source, target)
+    reached_set = index.reach.get(source)
+    if reached_set is None:
+        def targets(name: str) -> list[str]:
+            return [r for _, r in index.assoc_edges[name]]
+
+        reached_set = index.reach[source] = frozenset(closure(targets(source), targets))
     if target != source and target in reached_set:
         return True
     return any(
@@ -246,9 +235,7 @@ def find_paths(
     """
     if max_nodes < 2:
         raise ValueError("max_nodes must be at least 2")
-    for name in (source, target):
-        if not index.known(name):
-            raise UnknownNameError(name)
+    _require_known(index, source, target)
 
     matches: dict[str, bool] = {}
     found: list[AssociationPath] = []

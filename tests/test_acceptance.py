@@ -286,7 +286,7 @@ def test_criterion_8_round_trip_and_determinism(tmp_path):
             for file_name in files_a:
                 assert (out_a / file_name).read_bytes() == (out_b / file_name).read_bytes()
 
-        # bench reports wall-clock times, so byte identity cannot hold there;
+        # bench reports measured CPU times, so byte identity cannot hold there;
         # its structure (rows, stages, path lengths) must still be stable
         suite = tmp_path / "suite.txt"
         suite.write_text("\n".join(benchmark_model()[2][:2]) + "\n", encoding="utf-8")

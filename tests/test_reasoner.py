@@ -124,6 +124,14 @@ def test_unknown_name_raises(cabio_context):
         association_reachable(cabio_context.index, "c:Nope", "c:Gene")
     with pytest.raises(UnknownNameError):
         find_paths(cabio_context.index, "c:Nope", "c:Gene")
+    # the source is checked before the target
+    for query in (entails_subclass, association_reachable, find_paths):
+        with pytest.raises(UnknownNameError) as both:
+            query(cabio_context.index, "c:Nope1", "c:Nope2")
+        assert both.value.name == "c:Nope1"
+        with pytest.raises(UnknownNameError) as target:
+            query(cabio_context.index, "c:Gene", "c:Nope2")
+        assert target.value.name == "c:Nope2"
 
 
 def test_non_el_axiom_rejected():
