@@ -233,11 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, thesaurus=True):
+    def add_common(p):
         p.add_argument("--model", required=True, help="model document (JSON)")
-        if thesaurus:
-            p.add_argument("--thesaurus", required=True, help="thesaurus document (line format)")
-        p.add_argument("--max-nodes", type=int, default=16, help="path node budget")
+        p.add_argument("--thesaurus", required=True, help="thesaurus document (line format)")
 
     p_ontogen = sub.add_parser("ontogen", help="generate ontology and module files")
     add_common(p_ontogen)
@@ -253,6 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rewrite = sub.add_parser("rewrite", help="rewrite a query into CQL XML")
     add_common(p_rewrite)
+    p_rewrite.add_argument("--max-nodes", type=int, default=16, help="path node budget")
     p_rewrite.add_argument("--query", help="query text")
     p_rewrite.add_argument("queryfile", nargs="?", help="file holding the query text")
     p_rewrite.add_argument("--candidate-limit", type=int, default=64)
@@ -269,6 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="per-stage timing over a query suite")
     add_common(p_bench)
+    p_bench.add_argument("--max-nodes", type=int, default=16, help="path node budget")
     p_bench.add_argument("--suite", required=True, help="file with one query per line")
     p_bench.add_argument("--repetitions", type=int, default=5)
     p_bench.add_argument("--format", choices=("table", "csv"), default="csv")

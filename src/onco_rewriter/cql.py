@@ -132,30 +132,15 @@ def validate_grammar(query: CqlQuery) -> list[str]:
 
 
 def _escape(value: str) -> str:
-    out = []
-    for ch in value:
-        if ch == "&":
-            out.append("&amp;")
-        elif ch == "<":
-            out.append("&lt;")
-        elif ch == ">":
-            out.append("&gt;")
-        elif ch == '"':
-            out.append("&quot;")
-        elif ch == "\n":
-            out.append("&#10;")
-        elif ch == "\t":
-            out.append("&#9;")
-        elif ch == "\r":
-            out.append("&#13;")
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
-def _open_tag(tag: str, attrs: list[tuple[str, str]], self_close: bool) -> str:
-    rendered = "".join(f' {k}="{_escape(v)}"' for k, v in attrs)
-    return f"<ns1:{tag}{rendered}{'/' if self_close else ''}>"
+    return (
+        value.replace("&", "&amp;")
+        .replace("<", "&lt;")
+        .replace(">", "&gt;")
+        .replace('"', "&quot;")
+        .replace("\n", "&#10;")
+        .replace("\t", "&#9;")
+        .replace("\r", "&#13;")
+    )
 
 
 def to_xml(query: CqlQuery) -> str:
@@ -166,51 +151,40 @@ def to_xml(query: CqlQuery) -> str:
 
     lines: list[str] = [f'<ns1:CQLQuery xmlns:ns1="{CQL_NAMESPACE}">']
 
-    def emit(node, depth: int) -> None:
+    def element(depth: int, tag: str, attrs: tuple, children: tuple = ()) -> None:
+        """Drop attributes valued None; self-close when there are no children."""
         indent = " " * depth
-        if isinstance(node, CqlAttribute):
-            attrs = [("name", node.name), ("predicate", node.predicate)]
-            if node.value is not None:
-                attrs.append(("value", node.value))
-            lines.append(indent + _open_tag("Attribute", attrs, self_close=True))
+        head = indent + f"<ns1:{tag}" + "".join(
+            f' {key}="{_escape(value)}"' for key, value in attrs if value is not None
+        )
+        if not children:
+            lines.append(head + "/>")
+            return
+        lines.append(head + ">")
+        for child in children:
+            emit(child, depth + 1)
+        lines.append(f"{indent}</ns1:{tag}>")
+
+    def emit(node, depth: int) -> None:
+        # validate_grammar has admitted only these node types; a str is one
+        # of a QueryModifier's attribute names
+        if isinstance(node, str):
+            lines.append(f"{' ' * depth}<ns1:AttributeNames>{_escape(node)}</ns1:AttributeNames>")
+        elif isinstance(node, CqlAttribute):
+            attrs = (("name", node.name), ("predicate", node.predicate), ("value", node.value))
+            element(depth, "Attribute", attrs)
         elif isinstance(node, CqlAssociation):
-            attrs = [("name", node.name), ("roleName", node.role_name)]
-            if node.child is None:
-                lines.append(indent + _open_tag("Association", attrs, self_close=True))
-            else:
-                lines.append(indent + _open_tag("Association", attrs, self_close=False))
-                emit(node.child, depth + 1)
-                lines.append(indent + "</ns1:Association>")
-        elif isinstance(node, CqlGroup):
-            attrs = [("logicalOp", node.logical_op)]
-            lines.append(indent + _open_tag("Group", attrs, self_close=False))
-            for item in node.items:
-                emit(item, depth + 1)
-            lines.append(indent + "</ns1:Group>")
+            attrs = (("name", node.name), ("roleName", node.role_name))
+            element(depth, "Association", attrs, () if node.child is None else (node.child,))
         else:
-            raise CqlError(f"cannot serialize {type(node).__name__}")
+            element(depth, "Group", (("logicalOp", node.logical_op),), node.items)
 
-    target_attrs = [("name", query.target.name)]
-    if query.target.child is None:
-        lines.append(" " + _open_tag("Target", target_attrs, self_close=True))
-    else:
-        lines.append(" " + _open_tag("Target", target_attrs, self_close=False))
-        emit(query.target.child, 2)
-        lines.append(" </ns1:Target>")
-
-    if query.modifier is not None:
-        m = query.modifier
-        attrs = []
-        if m.distinct_attribute is not None:
-            attrs.append(("distinctAttribute", m.distinct_attribute))
-        if not m.attribute_names:
-            lines.append(" " + _open_tag("QueryModifier", attrs, self_close=True))
-        else:
-            lines.append(" " + _open_tag("QueryModifier", attrs, self_close=False))
-            for name in m.attribute_names:
-                lines.append(f"  <ns1:AttributeNames>{_escape(name)}</ns1:AttributeNames>")
-            lines.append(" </ns1:QueryModifier>")
-
+    target = query.target
+    element(1, "Target", (("name", target.name),), () if target.child is None else (target.child,))
+    m = query.modifier
+    if m is not None:
+        attrs = (("distinctAttribute", m.distinct_attribute),)
+        element(1, "QueryModifier", attrs, m.attribute_names)
     lines.append("</ns1:CQLQuery>")
     return "\n".join(lines) + "\n"
 

@@ -58,38 +58,53 @@ def association_edges(model: UMLModel) -> dict[str, tuple[tuple[str, str], ...]]
 
 def path_metrics(model: UMLModel, max_nodes: int = 16) -> PathMetrics:
     """Enumerate every simple association path up to the node budget and
-    aggregate longest path, paths per journey, and nodes per path."""
+    aggregate longest path, paths per journey, and nodes per path. The walk
+    is depth-first: the edge iterator of the path's last node is a local,
+    and the iterators of the nodes before it wait on an explicit stack."""
     edges = association_edges(model)
     longest = 0
     path_count = 0
     node_sum = 0
-    journeys: set[tuple[str, str]] = set()
-
-    def walk(source: str, current: str, visited: set[str], depth: int) -> None:
-        nonlocal longest, path_count, node_sum
-        for _, target in edges[current]:
-            if target in visited:
-                continue
-            nodes = depth + 1
-            path_count += 1
-            node_sum += nodes
-            journeys.add((source, target))
-            if nodes > longest:
-                longest = nodes
-            if nodes < max_nodes:
-                visited.add(target)
-                walk(source, target, visited, nodes)
-                visited.discard(target)
-
+    journey_count = 0
+    path: list[str] = []
+    visited: set[str] = set()
+    stack: list = []
     for cls in model.classes:
-        walk(cls.name, cls.name, {cls.name}, 1)
+        reached: set[str] = set()
+        path.append(cls.name)
+        visited.add(cls.name)
+        edge_iter = iter(edges[cls.name])
+        nodes = 2  # of a path that ends at the next target of edge_iter
+        while True:
+            for _, target in edge_iter:
+                if target in visited:
+                    continue
+                path_count += 1
+                node_sum += nodes
+                reached.add(target)
+                if nodes > longest:
+                    longest = nodes
+                if nodes < max_nodes:
+                    path.append(target)
+                    visited.add(target)
+                    stack.append(edge_iter)
+                    edge_iter = iter(edges[target])
+                    nodes += 1
+                    break
+            else:
+                visited.discard(path.pop())
+                if not stack:
+                    break
+                edge_iter = stack.pop()
+                nodes -= 1
+        journey_count += len(reached)
 
     return PathMetrics(
         longest_path=longest,
-        journey_count=len(journeys),
+        journey_count=journey_count,
         path_count=path_count,
         avg_paths_per_journey=(
-            Fraction(path_count, len(journeys)) if journeys else Fraction(0)
+            Fraction(path_count, journey_count) if journey_count else Fraction(0)
         ),
         avg_nodes_per_path=(Fraction(node_sum, path_count) if path_count else Fraction(0)),
         max_nodes=max_nodes,

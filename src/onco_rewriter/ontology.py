@@ -13,6 +13,7 @@ prefix-declaration header. Parsing is the exact inverse.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .model import Annotation, UMLModel
@@ -441,22 +442,7 @@ def serialize_axioms(axiom_set: AxiomSet) -> str:
 
 
 def _tokenize(line: str, lineno: int) -> list[str]:
-    tokens: list[str] = []
-    current = ""
-    for ch in line:
-        if ch in "()":
-            if current:
-                tokens.append(current)
-                current = ""
-            tokens.append(ch)
-        elif ch.isspace():
-            if current:
-                tokens.append(current)
-                current = ""
-        else:
-            current += ch
-    if current:
-        tokens.append(current)
+    tokens = re.findall(r"[()]|[^\s()]+", line)
     if not tokens:
         raise AxiomParseError("empty axiom line", lineno)
     return tokens

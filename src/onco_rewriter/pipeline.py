@@ -361,13 +361,6 @@ class CandidateQuery:
     ast: QueryNode
     provenance: Provenance = field(default_factory=Provenance)
 
-    @property
-    def order_key(self) -> tuple:
-        return (
-            tuple(chosen for _, chosen in self.provenance.concept_choices),
-            self.provenance.path_choices,
-        )
-
 
 class LazyProduct(Sequence):
     """``build(combo)`` for every ``combo`` of ``itertools.product(*choices)``,
@@ -450,13 +443,12 @@ def extract_uml(ast: QueryNode, index: SubsumptionIndex) -> LazyProduct:
 class ValueBinding:
     """Where a removed data value belongs.
 
-    ``path`` addresses the removed node in the pre-extraction tree (child
-    indices from the root). ``attr_ordinal`` and ``rel_path`` anchor the same
-    slot relative to its enclosing attribute restriction, which stays stable
-    across path expansion.
+    ``attr_ordinal`` numbers the enclosing attribute restriction in
+    depth-first order, and ``rel_path`` gives the child indices from that
+    restriction down to the removed node. Both stay stable across path
+    expansion.
     """
 
-    path: tuple[int, ...]
     literal: str
     attr_ordinal: int
     rel_path: tuple[int, ...]
@@ -481,7 +473,6 @@ def extract_data_values(ast: QueryNode) -> tuple[QueryNode, list[ValueBinding]]:
                     ordinal, base = attr_anchor
                     bindings.append(
                         ValueBinding(
-                            path=child_path,
                             literal=item.literal,
                             attr_ordinal=ordinal,
                             rel_path=child_path[base:],

@@ -42,6 +42,13 @@ def test_missing_required_flag_is_usage_error():
     assert run(["ontogen", "--model", MODEL]) == 1
 
 
+@pytest.mark.parametrize("command", ["ontogen", "module", "classify"])
+def test_max_nodes_is_offered_only_where_paths_are_searched(command, tmp_path):
+    base = [command, "--model", MODEL, "--thesaurus", THESAURUS, "--out", str(tmp_path)]
+    assert run(base + ["--max-nodes", "4"]) == 1
+    assert run(base) == 0
+
+
 def test_regeneration_is_byte_identical(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):

@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onco_rewriter.model import load_model
 from onco_rewriter.ontology import (
@@ -320,3 +322,37 @@ def test_parse_errors_carry_line_numbers():
 
     with pytest.raises(AxiomParseError, match="line 2"):
         parse_axioms("Prefix(c:=<http://x#>)\nNonsense(c:A)\n")
+
+
+def _character_loop_tokens(line: str) -> list[str]:
+    # the tokenizer's earlier character loop, kept as the reference
+    tokens: list[str] = []
+    current = ""
+    for ch in line:
+        if ch in "()":
+            if current:
+                tokens.append(current)
+                current = ""
+            tokens.append(ch)
+        elif ch.isspace():
+            if current:
+                tokens.append(current)
+                current = ""
+        else:
+            current += ch
+    if current:
+        tokens.append(current)
+    return tokens
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(st.sampled_from("() \t\x0b\x0c\x1c\x85\xa0\u3000ab:") | st.characters()))
+def test_tokenizer_matches_the_character_loop(line):
+    from onco_rewriter.ontology import AxiomParseError, _tokenize
+
+    expected = _character_loop_tokens(line)
+    if expected:
+        assert _tokenize(line, 7) == expected
+    else:
+        with pytest.raises(AxiomParseError, match="line 7: empty axiom line"):
+            _tokenize(line, 7)
