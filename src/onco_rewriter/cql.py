@@ -86,7 +86,14 @@ def validate_grammar(query: CqlQuery) -> list[str]:
     """Check derivability from the CQL grammar. Empty report means valid."""
     violations: list[str] = []
 
+    def not_text(value, where: str, what: str) -> None:
+        violations.append(f"{where}: {what} must be a string, not {type(value).__name__}")
+
     def check_attribute(attr: CqlAttribute, where: str) -> None:
+        if not isinstance(attr.name, str):
+            not_text(attr.name, where, "attribute name")
+        if not (attr.value is None or isinstance(attr.value, str)):
+            not_text(attr.value, where, "attribute value")
         if not attr.name:
             violations.append(f"{where}: attribute name must be non-empty")
         if attr.predicate not in PREDICATES:
@@ -103,6 +110,10 @@ def validate_grammar(query: CqlQuery) -> list[str]:
         if isinstance(node, CqlAttribute):
             check_attribute(node, where)
         elif isinstance(node, CqlAssociation):
+            if not isinstance(node.name, str):
+                not_text(node.name, where, "association name")
+            if not isinstance(node.role_name, str):
+                not_text(node.role_name, where, "association roleName")
             if not node.name:
                 violations.append(f"{where}: association name must be non-empty")
             if not node.role_name:
@@ -118,6 +129,8 @@ def validate_grammar(query: CqlQuery) -> list[str]:
         else:
             violations.append(f"{where}: unexpected node {type(node).__name__}")
 
+    if not isinstance(query.target.name, str):
+        not_text(query.target.name, "Target", "name")
     if not query.target.name:
         violations.append("Target: name must be non-empty")
     check_child(query.target.child, "Target")
@@ -125,6 +138,11 @@ def validate_grammar(query: CqlQuery) -> list[str]:
         m = query.modifier
         if m.distinct_attribute is None and not m.attribute_names:
             violations.append("QueryModifier: at least one field must be populated")
+        if not (m.distinct_attribute is None or isinstance(m.distinct_attribute, str)):
+            not_text(m.distinct_attribute, "QueryModifier", "distinctAttribute")
+        for name in m.attribute_names:
+            if not isinstance(name, str):
+                not_text(name, "QueryModifier", "attribute name")
     return violations
 
 

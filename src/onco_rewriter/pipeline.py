@@ -228,11 +228,18 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# Deepest parenthesis nesting a query may use. Real queries nest a few
+# levels; the parser and the stages after it recurse a few frames per level,
+# so this keeps every input far from the interpreter's recursion limit.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token], length: int):
         self.tokens = tokens
         self.pos = 0
         self.end = length + 1
+        self.depth = 0
 
     def peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -285,8 +292,14 @@ class _Parser:
         if token is None:
             raise QuerySyntaxError("unexpected end of query", self.end)
         if token.kind == "LPAREN":
+            if self.depth == MAX_NESTING:
+                raise QuerySyntaxError(
+                    f"parentheses nested deeper than {MAX_NESTING} levels", token.position
+                )
             self.take()
+            self.depth += 1
             expr = self.parse_expr()
+            self.depth -= 1
             closing = self.take()
             if closing.kind != "RPAREN":
                 raise QuerySyntaxError("expected ')'", closing.position)

@@ -10,11 +10,18 @@ per source on the first query for that source and kept on the index.
 Association ranges stay verbatim on edges; widening a range to one of its
 superclasses is handled at the point of matching instead (a reachability or
 path query matches a terminal class polymorphically, in either subsumption
-direction). Path enumeration is exhaustive over simple paths up to a node
-budget, so a query over the transitive association abstraction can be
-rewritten into every concrete role chain that realizes it. The walk keeps
-its own stack, so the budget, not the interpreter's recursion limit, bounds
-the path length; a final sort fixes the order of the paths it finds.
+direction). The classes matching a target, and the fewest association steps
+from each class to one of them, are likewise computed on the first query for
+that target and kept on the index; they come from one reverse breadth-first
+search over two inverse maps (subclasses of a name, sources of the edges
+into a range) that are built once per index on first use.
+
+Path enumeration is exhaustive over simple paths up to a node budget, so a
+query over the transitive association abstraction can be rewritten into
+every concrete role chain that realizes it. The walk keeps its own stack, so
+the budget, not the interpreter's recursion limit, bounds the path length;
+it extends a path only toward a match it can still reach within the budget,
+and a final sort fixes the order of the paths it finds.
 """
 
 from __future__ import annotations
@@ -86,6 +93,11 @@ class SubsumptionIndex:
     assoc_edges: dict[str, frozenset[tuple[str, str]]]
     # classes reachable through association edges, filled per queried source
     reach: dict[str, frozenset[str]] = field(default_factory=dict, compare=False, repr=False)
+    # per queried target: the classes matching it, and the fewest association
+    # steps (at least one) from a class to one of them
+    toward: dict[str, tuple[frozenset[str], dict[str, int]]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def known(self, name: str) -> bool:
         return name in self.subsumers
@@ -104,6 +116,24 @@ class SubsumptionIndex:
         return tuple(sorted(
             name for name, sups in self.subsumers.items() if name.startswith("c:") and kind in sups
         ))
+
+    @cached_property
+    def subclasses(self) -> dict[str, list[str]]:
+        """The names each name subsumes, itself included."""
+        subs: defaultdict[str, list[str]] = defaultdict(list)
+        for name, sups in self.subsumers.items():
+            for sup in sups:
+                subs[sup].append(name)
+        return dict(subs)
+
+    @cached_property
+    def edges_into(self) -> dict[str, list[str]]:
+        """The classes carrying an association edge into each range."""
+        sources: defaultdict[str, list[str]] = defaultdict(list)
+        for name, edges in self.assoc_edges.items():
+            for rng in {rng for _, rng in edges}:
+                sources[rng].append(name)
+        return dict(sources)
 
 
 def _decompose(lhs: str, expr, named_out, exist_out) -> None:
@@ -194,8 +224,29 @@ def entails_subclass(index: SubsumptionIndex, sub: str, sup: str) -> bool:
     return sup in index.subsumers[sub]
 
 
-def _polymorphic_match(index: SubsumptionIndex, reached: str, wanted: str) -> bool:
-    return wanted in index.subsumers[reached] or reached in index.subsumers[wanted]
+def _toward(index: SubsumptionIndex, target: str) -> tuple[frozenset[str], dict[str, int]]:
+    """The classes matching target in either subsumption direction, and the
+    fewest association steps (at least one) from each class that has a walk
+    to one of them. The walk need not be simple, so the count never exceeds
+    the length of a simple path."""
+    tables = index.toward.get(target)
+    if tables is None:
+        matches = index.subsumers[target].union(index.subclasses[target])
+        edges_into = index.edges_into
+        need: dict[str, int] = {}
+        frontier = list(matches)
+        steps = 0
+        while frontier:
+            steps += 1
+            reached = []
+            for name in frontier:
+                for src in edges_into.get(name, ()):
+                    if src not in need:
+                        need[src] = steps
+                        reached.append(src)
+            frontier = reached
+        tables = index.toward[target] = (matches, need)
+    return tables
 
 
 def association_reachable(index: SubsumptionIndex, source: str, target: str) -> bool:
@@ -213,13 +264,7 @@ def association_reachable(index: SubsumptionIndex, source: str, target: str) -> 
             return [r for _, r in index.assoc_edges[name]]
 
         reached_set = index.reach[source] = frozenset(closure(targets(source), targets))
-    if target != source and target in reached_set:
-        return True
-    return any(
-        _polymorphic_match(index, reached, target)
-        for reached in reached_set
-        if reached != source
-    )
+    return not (reached_set & _toward(index, target)[0]) <= {source}
 
 
 def find_paths(
@@ -229,7 +274,10 @@ def find_paths(
 
     Intermediate steps follow declared ranges verbatim; only the final step
     matches target polymorphically. The walk is depth-first over an explicit
-    stack, taking edges in stored order; the results are then sorted by node
+    stack, taking edges in stored order. It extends a path through a range
+    only when the fewest steps from that range to a match (the target's
+    memoised distance table) still fit in the node budget, so it never walks
+    toward a match it cannot reach. The results are then sorted by node
     count, then lexicographically by property and range names, a key that
     tells any two paths apart.
     """
@@ -237,25 +285,26 @@ def find_paths(
         raise ValueError("max_nodes must be at least 2")
     _require_known(index, source, target)
 
-    matches: dict[str, bool] = {}
+    matches, need = _toward(index, target)
+    if source not in need:
+        return []
     found: list[AssociationPath] = []
     steps: list[tuple[str, str]] = []
     visited: set[str] = {source}
     stack = [iter(index.assoc_edges[source])]
     while stack:
+        # the most steps a range taken next may still need to reach a match
+        room = max_nodes - len(steps) - 2
         for prop, rng in stack[-1]:
             if rng in visited:
                 continue
-            steps.append((prop, rng))
-            if rng not in matches:
-                matches[rng] = _polymorphic_match(index, rng, target)
-            if matches[rng]:
-                found.append(AssociationPath(source_class=source, steps=tuple(steps)))
-            if len(steps) + 1 < max_nodes:
+            if rng in matches:
+                found.append(AssociationPath(source_class=source, steps=(*steps, (prop, rng))))
+            if need.get(rng, max_nodes) <= room:
+                steps.append((prop, rng))
                 visited.add(rng)
                 stack.append(iter(index.assoc_edges[rng]))
                 break
-            steps.pop()
         else:
             stack.pop()
             if steps:

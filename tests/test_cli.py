@@ -139,6 +139,13 @@ def test_rewrite_rejected_parse_exits_two(capsys):
     assert "stage parse" in capsys.readouterr().err
 
 
+def test_rewrite_deeply_nested_query_exits_two(capsys):
+    query = "(" * 3000 + "Gene" + ")" * 3000
+    code = run(["rewrite", "--model", MODEL, "--thesaurus", THESAURUS, "--query", query])
+    assert code == 2
+    assert "stage parse: parentheses nested deeper than" in capsys.readouterr().err
+
+
 def test_rewrite_byte_identical_runs(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):

@@ -114,6 +114,37 @@ def test_to_xml_rejects_invalid_ast():
         to_xml(CqlQuery(target=CqlTarget(name="")))
 
 
+@pytest.mark.parametrize(
+    "query, violation",
+    [
+        (
+            CqlQuery(target=CqlTarget(name="T", child=CqlAttribute("a", "EQUAL_TO", 5))),
+            "Target: attribute value must be a string, not int",
+        ),
+        (
+            CqlQuery(target=CqlTarget(name="T"), modifier=QueryModifier(attribute_names=(None,))),
+            "QueryModifier: attribute name must be a string, not NoneType",
+        ),
+        (
+            CqlQuery(target=CqlTarget(name="T", child=CqlAttribute(7, "IS_NULL"))),
+            "Target: attribute name must be a string, not int",
+        ),
+        (
+            CqlQuery(target=CqlTarget(name="T", child=CqlAssociation("A", b"role"))),
+            "Target: association roleName must be a string, not bytes",
+        ),
+        (
+            CqlQuery(target=CqlTarget(name="T"), modifier=QueryModifier(distinct_attribute=1.5)),
+            "QueryModifier: distinctAttribute must be a string, not float",
+        ),
+    ],
+)
+def test_non_string_text_is_a_grammar_violation(query, violation):
+    assert violation in validate_grammar(query)
+    with pytest.raises(CqlError, match=violation):
+        to_xml(query)
+
+
 def test_parse_rejects_missing_target():
     with pytest.raises(CqlXmlError, match="missing Target"):
         parse_xml('<ns1:CQLQuery xmlns:ns1="http://CQL.caBIG/1/gov.nih.nci.cagrid.CQLQuery"/>')

@@ -21,6 +21,7 @@ from onco_rewriter.pipeline import (
     HasAssociationSome,
     HasAttributeSome,
     HasValueEquals,
+    MAX_NESTING,
     NoPathError,
     NoUmlCandidateError,
     QuerySyntaxError,
@@ -153,6 +154,21 @@ def test_parse_flattens_nested_conjunction():
     flat = parse_query("Gene and (hasAttribute some (Name) and hasAttribute some (Gene_Symbol))")
     assert isinstance(flat, And)
     assert len(flat.items) == 3
+
+
+def test_parse_bounds_parenthesis_nesting(cabio_context):
+    query = "Gene"
+    for level in range(MAX_NESTING):
+        concept = "Single_Nucleotide_Polymorphism" if level % 2 == 0 else "Gene"
+        query = f"{concept} and hasAssociation some ({query})"
+    # the deepest accepted query also passes the recursive stages after parsing
+    candidates = extract_uml(parse_query(query), cabio_context.index)
+    assert len(candidates) == 1
+    assert format_query(candidates[0].ast).count("hasAssociation some") == MAX_NESTING
+    with pytest.raises(QuerySyntaxError, match=f"nested deeper than {MAX_NESTING} levels"):
+        parse_query(f"Gene and hasAssociation some ({query})")
+    with pytest.raises(QuerySyntaxError, match=r"\(at position 101\)"):
+        parse_query("(" * 3000 + "Gene" + ")" * 3000)
 
 
 # --- UML extraction -----------------------------------------------------------
