@@ -377,21 +377,22 @@ class CandidateQuery:
 
 class LazyProduct(Sequence):
     """``build(combo)`` for every ``combo`` of ``itertools.product(*choices)``,
-    in that order, each built only when read. The length is known before
-    any element exists, so a bound can be checked without building."""
+    in that order, each built only when read. ``size`` is known before any
+    element exists, so a bound can be checked without building; unlike
+    ``len()``, it holds counts past ``sys.maxsize``."""
 
     def __init__(self, choices: Sequence[Sequence], build: Callable[[tuple], object]):
         self._choices = choices
         self._build = build
-        self._length = math.prod(len(options) for options in choices)
+        self.size = math.prod(len(options) for options in choices)
 
     def __len__(self) -> int:
-        return self._length
+        return self.size
 
     def __getitem__(self, position: int):
         if position < 0:
-            position += self._length
-        if not 0 <= position < self._length:
+            position += self.size
+        if not 0 <= position < self.size:
             raise IndexError("product index out of range")
         combo = []
         for options in reversed(self._choices):
@@ -932,7 +933,6 @@ class RewriteContext:
 
     model: UMLModel
     naming: ModelNaming
-    module: ThesaurusAxiomSet
     ontology: AxiomSet
     index: SubsumptionIndex
 
@@ -964,14 +964,12 @@ def thesaurus_module(model: UMLModel, thesaurus: Thesaurus) -> ThesaurusAxiomSet
 def prepare_context(model: UMLModel, thesaurus: Thesaurus) -> RewriteContext:
     """Generate the ontology and thesaurus module for a model and classify
     their union."""
-    module = thesaurus_module(model, thesaurus)
-    module_axioms = module.to_axiom_set()
+    module_axioms = thesaurus_module(model, thesaurus).to_axiom_set()
     ontology = generate_ontology(model, module_axioms)
     merged = merge_axiom_sets(ontology, module_axioms)
     return RewriteContext(
         model=model,
         naming=model_naming(model),
-        module=module,
         ontology=ontology,
         index=classify(merged),
     )
@@ -994,8 +992,8 @@ def rewrite_prepared(
 
     ast = timed("parse", parse_query, text)
     candidates = timed("umlExtract", extract_uml, ast, context.index)
-    if len(candidates) > options.candidate_limit:
-        raise CandidateLimitError("umlExtract", len(candidates), options.candidate_limit)
+    if candidates.size > options.candidate_limit:
+        raise CandidateLimitError("umlExtract", candidates.size, options.candidate_limit)
     candidates = timed("umlExtract", list, candidates)
 
     results: list[RewriteResult] = []
@@ -1017,9 +1015,9 @@ def rewrite_prepared(
             dropped.append((candidate.provenance, str(error)))
             last_error = error
             continue
-        if len(results) + len(expansions) > options.candidate_limit:
+        if len(results) + expansions.size > options.candidate_limit:
             raise CandidateLimitError(
-                "pathFind", len(results) + len(expansions), options.candidate_limit
+                "pathFind", len(results) + expansions.size, options.candidate_limit
             )
         for expansion in timed("pathFind", list, expansions):
             provenance = replace(

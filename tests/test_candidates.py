@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 
 import pytest
 from hypothesis import given
@@ -96,7 +97,7 @@ def test_lazy_product_matches_eager_product(choices):
     product = LazyProduct(choices, build)
     expected = [build(combo) for combo in itertools.product(*choices)]
     built.clear()
-    assert len(product) == len(expected)
+    assert len(product) == product.size == len(expected)
     assert built == []
     assert list(product) == expected
     for position in range(-len(expected), len(expected)):
@@ -104,3 +105,7 @@ def test_lazy_product_matches_eager_product(choices):
     for position in (len(expected), -len(expected) - 1):
         with pytest.raises(IndexError):
             product[position]
+    # a count past sys.maxsize is still a plain int that a limit can be compared with
+    huge = LazyProduct([range(10)] * 20, build)
+    assert huge.size == 10**20 > sys.maxsize
+    assert huge[-1] == ("built",) + (9,) * 20

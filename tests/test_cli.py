@@ -14,6 +14,7 @@ from conftest import CABIO_QUERY, FIXTURES
 
 MODEL = str(FIXTURES / "cabio_fragment.model.json")
 THESAURUS = str(FIXTURES / "ncit_fragment.thesaurus.txt")
+SUITE = str(FIXTURES / "cabio.suite.txt")
 
 
 def run(argv: list[str]) -> int:
@@ -40,6 +41,28 @@ def test_ontogen_missing_model_exits_one(tmp_path, capsys):
 
 def test_missing_required_flag_is_usage_error():
     assert run(["ontogen", "--model", MODEL]) == 1
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("rewrite", "max-nodes"),
+        ("rewrite", "candidate-limit"),
+        ("metrics", "max-nodes"),
+        ("bench", "max-nodes"),
+        ("bench", "repetitions"),
+    ],
+)
+def test_non_positive_count_is_usage_error(command, option, capsys):
+    needs = {
+        "rewrite": ["--thesaurus", THESAURUS, "--query", CABIO_QUERY],
+        "metrics": [],
+        "bench": ["--thesaurus", THESAURUS, "--suite", SUITE],
+    }
+    assert run([command, "--model", MODEL, *needs[command], f"--{option}", "0"]) == 1
+    err = capsys.readouterr().err
+    assert f"--{option}" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["ontogen", "module", "classify"])
@@ -144,6 +167,15 @@ def test_rewrite_deeply_nested_query_exits_two(capsys):
     code = run(["rewrite", "--model", MODEL, "--thesaurus", THESAURUS, "--query", query])
     assert code == 2
     assert "stage parse: parentheses nested deeper than" in capsys.readouterr().err
+
+
+def test_rewrite_candidate_count_past_maxsize_exits_two(capsys):
+    names = ["Location", "Chromosome"] * 50
+    query = " and hasAssociation some (".join(names) + ")" * (len(names) - 1)
+    code = run(["rewrite", "--model", MODEL, "--thesaurus", THESAURUS, "--query", query])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "stage umlExtract" in err and "exceeds limit 64" in err
 
 
 def test_rewrite_byte_identical_runs(tmp_path):

@@ -32,6 +32,7 @@ from onco_rewriter.ontology import (
     parse_axioms,
     serialize_axioms,
 )
+from onco_rewriter.pipeline import thesaurus_module
 from onco_rewriter.synthetic import random_el_axiom_set, resolve_seed
 
 
@@ -221,9 +222,10 @@ def test_count_laws(cabio_model):
     assert len(property_axioms) == len(cabio_model.associations)
 
 
-def test_generation_deterministic(cabio_model, cabio_context):
-    first = serialize_axioms(generate_ontology(cabio_model, cabio_context.module.to_axiom_set()))
-    second = serialize_axioms(generate_ontology(cabio_model, cabio_context.module.to_axiom_set()))
+def test_generation_deterministic(cabio_model, ncit_thesaurus):
+    module_axioms = thesaurus_module(cabio_model, ncit_thesaurus).to_axiom_set()
+    first = serialize_axioms(generate_ontology(cabio_model, module_axioms))
+    second = serialize_axioms(generate_ontology(cabio_model, module_axioms))
     assert first == second
 
 
@@ -270,8 +272,9 @@ def test_datatype_mapping():
         assert SubClassOf(Named(f"c:A_{attr}"), DataExistential(HAS_VALUE, datatype)) in axioms
 
 
-def test_generated_ontologies_are_el(cabio_model, cabio_context):
-    axioms = generate_ontology(cabio_model, cabio_context.module.to_axiom_set())
+def test_generated_ontologies_are_el(cabio_model, ncit_thesaurus):
+    module_axioms = thesaurus_module(cabio_model, ncit_thesaurus).to_axiom_set()
+    axioms = generate_ontology(cabio_model, module_axioms)
     assert el_conformance_report(axioms) == []
 
 
@@ -305,8 +308,9 @@ def test_serialize_empty_set_is_header_only():
     assert body == []
 
 
-def test_round_trip_on_fixture(cabio_model, cabio_context):
-    axioms = generate_ontology(cabio_model, cabio_context.module.to_axiom_set())
+def test_round_trip_on_fixture(cabio_model, ncit_thesaurus):
+    module_axioms = thesaurus_module(cabio_model, ncit_thesaurus).to_axiom_set()
+    axioms = generate_ontology(cabio_model, module_axioms)
     assert parse_axioms(serialize_axioms(axioms)) == axioms
 
 

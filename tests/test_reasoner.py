@@ -18,6 +18,7 @@ from onco_rewriter.ontology import (
     generate_ontology,
     merge_axiom_sets,
 )
+from onco_rewriter.pipeline import thesaurus_module
 from onco_rewriter.reasoner import (
     ReasonerError,
     UnknownNameError,
@@ -293,11 +294,9 @@ def test_paths_are_simple_and_chained(cabio_context, cabio_model):
                     at = rng_cls
 
 
-def test_classify_merged_fixture_agrees_with_oracle(cabio_model, cabio_context):
-    merged = merge_axiom_sets(
-        generate_ontology(cabio_model, cabio_context.module.to_axiom_set()),
-        cabio_context.module.to_axiom_set(),
-    )
+def test_classify_merged_fixture_agrees_with_oracle(cabio_model, ncit_thesaurus):
+    module_axioms = thesaurus_module(cabio_model, ncit_thesaurus).to_axiom_set()
+    merged = merge_axiom_sets(generate_ontology(cabio_model, module_axioms), module_axioms)
     index = classify(merged)
     expected = oracle_subsumers(merged)
     assert {k: set(v) for k, v in index.subsumers.items()} == expected
