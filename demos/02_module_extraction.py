@@ -37,5 +37,5 @@ print(f"after stripping disjointness: {len(stripped)} subsumption axioms")
 module = extract_module(stripped, model_signature(model))
 print(f"module for the model signature: {len(module)} axioms")
 print()
-print(serialize_axioms(module.to_axiom_set()))
+print(serialize_axioms(module))
 print("note: the Disease/Neoplasm branch is gone; nothing in the model refers to it")

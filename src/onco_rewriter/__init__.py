@@ -31,9 +31,8 @@ from .model import (
     load_thesaurus,
     model_signature,
 )
-from .module_extraction import ThesaurusAxiomSet, extract_module, strip_disjoints
+from .module_extraction import extract_module, strip_disjoints
 from .ontology import (
-    UPPER_VOCABULARY,
     AxiomSet,
     Conjunction,
     DataExistential,
@@ -42,7 +41,6 @@ from .ontology import (
     SubClassOf,
     SubPropertyOf,
     TransitiveProperty,
-    UpperVocabulary,
     el_conformance_report,
     generate_ontology,
     merge_axiom_sets,

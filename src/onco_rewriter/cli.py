@@ -100,7 +100,7 @@ def _emit(args: argparse.Namespace, stem: str, content: str) -> None:
 
 def cmd_ontogen(args: argparse.Namespace) -> int:
     model, thesaurus = _load(args)
-    module_axioms = thesaurus_module(model, thesaurus).to_axiom_set()
+    module_axioms = thesaurus_module(model, thesaurus)
     ontology = generate_ontology(model, module_axioms)
     ontology_path = _write(args.out, "ontology.axioms", serialize_axioms(ontology))
     module_path = _write(args.out, "module.axioms", serialize_axioms(module_axioms))
@@ -111,7 +111,7 @@ def cmd_ontogen(args: argparse.Namespace) -> int:
 
 def cmd_module(args: argparse.Namespace) -> int:
     module = thesaurus_module(*_load(args))
-    module_path = _write(args.out, "module.axioms", serialize_axioms(module.to_axiom_set()))
+    module_path = _write(args.out, "module.axioms", serialize_axioms(module))
     print(f"wrote {module_path}")
     return EXIT_OK
 

@@ -34,6 +34,10 @@ PREDICATES = (
 )
 VALUELESS_PREDICATES = ("IS_NULL", "IS_NOT_NULL")
 LOGICAL_OPS = ("AND", "OR")
+# the most elements parse_xml accepts nested under Target; to_xml and
+# validate_grammar recurse a few frames per level, so this keeps a parsed
+# query far from the interpreter's recursion limit
+MAX_NESTING = 256
 
 
 class CqlError(ValueError):
@@ -219,7 +223,9 @@ def _local(tag: str) -> str:
     return local
 
 
-def _parse_child(element: ET.Element):
+def _parse_child(element: ET.Element, depth: int = 1):
+    if depth > MAX_NESTING:
+        raise CqlXmlError(f"elements nested deeper than {MAX_NESTING} levels under Target")
     local = _local(element.tag)
     if local == "Attribute":
         name = element.get("name")
@@ -236,13 +242,13 @@ def _parse_child(element: ET.Element):
             raise CqlXmlError("Association requires name and roleName")
         if len(element) > 1:
             raise CqlXmlError("Association can hold at most one child")
-        child = _parse_child(element[0]) if len(element) else None
+        child = _parse_child(element[0], depth + 1) if len(element) else None
         return CqlAssociation(name=name, role_name=role, child=child)
     if local == "Group":
         op = element.get("logicalOp")
         if op is None:
             raise CqlXmlError("Group requires logicalOp")
-        items = tuple(_parse_child(item) for item in element)
+        items = tuple(_parse_child(item, depth + 1) for item in element)
         if not items:
             raise CqlXmlError("Group cannot be empty")
         if len(items) == 1:

@@ -143,17 +143,12 @@ class UMLModel:
 class Thesaurus:
     """Named concepts with subsumption and disjointness axioms.
 
-    Declaration order is preserved (it drives deterministic serialization);
-    membership is still set-like via the frozenset views.
+    Declaration order is preserved; it drives deterministic serialization.
     """
 
     concepts: tuple[str, ...]
     subsumptions: tuple[tuple[str, str], ...]
     disjointness: tuple[tuple[str, str], ...]
-
-    @property
-    def concept_set(self) -> frozenset[str]:
-        return frozenset(self.concepts)
 
 
 @dataclass(frozen=True)

@@ -152,26 +152,6 @@ class AxiomSet:
         return frozenset(names)
 
 
-@dataclass(frozen=True)
-class UpperVocabulary:
-    """Fixed names shared by every generated ontology."""
-
-    classes: tuple[str, ...] = (UML_CLASS, UML_ATTRIBUTE, OWL_LIST)
-    object_properties: tuple[str, ...] = (
-        HAS_ASSOCIATION,
-        HAS_ATTRIBUTE,
-        HAS_CONTENTS,
-        HAS_NEXT,
-    )
-    data_property: str = HAS_VALUE
-
-    def axioms(self) -> tuple[Axiom, ...]:
-        return (TransitiveProperty(HAS_ASSOCIATION),)
-
-
-UPPER_VOCABULARY = UpperVocabulary()
-
-
 def merge_axiom_sets(*sets: AxiomSet) -> AxiomSet:
     """Concatenate axiom sets, dropping duplicates, keeping first-seen order.
     Prefix maps must agree on shared prefixes."""
@@ -217,7 +197,6 @@ class ModelNaming:
     themselves contain underscores), so the tables are built from the model.
     """
 
-    package_prefix: str
     properties: dict[str, tuple[str, str, str]]  # prop -> (source, role, target)
     attribute_classes: dict[str, tuple[str, str]]  # attr class -> (class, attribute)
     classes: dict[str, str]  # c:X -> X
@@ -244,7 +223,6 @@ def model_naming(model: UMLModel) -> ModelNaming:
     }
     classes = {class_name(c.name): c.name for c in model.classes}
     return ModelNaming(
-        package_prefix=model.package_prefix,
         properties=properties,
         attribute_classes=attribute_classes,
         classes=classes,
@@ -320,7 +298,7 @@ def generate_ontology(model: UMLModel, thesaurus_module: AxiomSet | None = None)
             f"association {assoc.source}.{assoc.role_name}",
         )
 
-    axioms: list[Axiom] = list(UPPER_VOCABULARY.axioms())
+    axioms: list[Axiom] = [TransitiveProperty(HAS_ASSOCIATION)]
     seen: set[Axiom] = set(axioms)
 
     def emit(axiom: Axiom) -> None:
@@ -470,13 +448,22 @@ class _TokenReader:
             raise AxiomParseError(f"expected '{token}', got '{got}'", self.lineno)
 
 
-def _parse_expr(reader: _TokenReader) -> ClassExpr:
+# the most class constructors parse_axioms accepts nested in one expression;
+# rendering, hashing and classification recurse a few frames per level, so
+# this keeps a parsed axiom far from the interpreter's recursion limit
+MAX_NESTING = 100
+
+
+def _parse_expr(reader: _TokenReader, depth: int = 0) -> ClassExpr:
     head = reader.take()
+    if head in ("ObjectIntersectionOf", "ObjectSomeValuesFrom") and depth == MAX_NESTING:
+        message = f"class expression nested deeper than {MAX_NESTING} levels"
+        raise AxiomParseError(message, reader.lineno)
     if head == "ObjectIntersectionOf":
         reader.expect("(")
         parts: list[ClassExpr] = []
         while reader.peek() != ")":
-            parts.append(_parse_expr(reader))
+            parts.append(_parse_expr(reader, depth + 1))
         reader.expect(")")
         if len(parts) < 2:
             raise AxiomParseError("ObjectIntersectionOf needs at least two parts", reader.lineno)
@@ -484,7 +471,7 @@ def _parse_expr(reader: _TokenReader) -> ClassExpr:
     if head == "ObjectSomeValuesFrom":
         reader.expect("(")
         prop = reader.take()
-        filler = _parse_expr(reader)
+        filler = _parse_expr(reader, depth + 1)
         reader.expect(")")
         return Existential(prop, filler)
     if head == "DataSomeValuesFrom":

@@ -31,8 +31,10 @@ from dataclasses import dataclass, field, replace
 
 from .cql import CqlAssociation, CqlAttribute, CqlGroup, CqlQuery, CqlTarget
 from .model import Thesaurus, UMLModel, model_signature
-from .module_extraction import ThesaurusAxiomSet, extract_module, strip_disjoints
+from .module_extraction import extract_module, strip_disjoints
 from .ontology import (
+    UML_ATTRIBUTE,
+    UML_CLASS,
     AxiomSet,
     ModelNaming,
     generate_ontology,
@@ -406,16 +408,16 @@ class LazyProduct(Sequence):
 
 def extract_uml(ast: QueryNode, index: SubsumptionIndex) -> LazyProduct:
     """Replace every concept reference by each UML class (or attribute class)
-    entailed to be subsumed by it; independent choices multiply out. The
-    pools are sorted, so the product comes ordered lexicographically by the
-    chosen names."""
+    entailed to be subsumed by it; independent choices multiply out. Each
+    concept's matches are sorted, so the product comes ordered
+    lexicographically by the chosen names."""
     occurrences: list[tuple[str, list[str]]] = []
 
     def collect(node: QueryNode, attribute_position: bool) -> None:
         if isinstance(node, ConceptRef):
-            concept = f"n:{node.name}"
-            pool = index.uml_attribute_classes if attribute_position else index.uml_classes
-            matches = [x for x in pool if concept in index.subsumers[x]]
+            kind = UML_ATTRIBUTE if attribute_position else UML_CLASS
+            subs = index.subclasses.get(f"n:{node.name}", ())
+            matches = sorted(x for x in subs if x.startswith("c:") and kind in index.subsumers[x])
             if not matches:
                 raise NoUmlCandidateError(node.name)
             occurrences.append((node.name, matches))
@@ -955,7 +957,7 @@ class RewriteOutcome:
     dropped: tuple[tuple[Provenance, str], ...] = ()
 
 
-def thesaurus_module(model: UMLModel, thesaurus: Thesaurus) -> ThesaurusAxiomSet:
+def thesaurus_module(model: UMLModel, thesaurus: Thesaurus) -> AxiomSet:
     """The module of the disjointness-free thesaurus for the model's
     annotation signature."""
     return extract_module(strip_disjoints(thesaurus), model_signature(model))
@@ -964,7 +966,7 @@ def thesaurus_module(model: UMLModel, thesaurus: Thesaurus) -> ThesaurusAxiomSet
 def prepare_context(model: UMLModel, thesaurus: Thesaurus) -> RewriteContext:
     """Generate the ontology and thesaurus module for a model and classify
     their union."""
-    module_axioms = thesaurus_module(model, thesaurus).to_axiom_set()
+    module_axioms = thesaurus_module(model, thesaurus)
     ontology = generate_ontology(model, module_axioms)
     merged = merge_axiom_sets(ontology, module_axioms)
     return RewriteContext(

@@ -14,7 +14,8 @@ direction). The classes matching a target, and the fewest association steps
 from each class to one of them, are likewise computed on the first query for
 that target and kept on the index; they come from one reverse breadth-first
 search over two inverse maps (subclasses of a name, sources of the edges
-into a range) that are built once per index on first use.
+into a range) that are built once per index on first use. The subclass map
+also answers umlExtract: the UML classes a query concept subsumes.
 
 Path enumeration is exhaustive over simple paths up to a node budget, so a
 query over the transitive association abstraction can be rewritten into
@@ -34,8 +35,6 @@ from .model import closure
 from .ontology import (
     HAS_ASSOCIATION,
     HAS_ATTRIBUTE,
-    UML_ATTRIBUTE,
-    UML_CLASS,
     AxiomSet,
     Conjunction,
     DataExistential,
@@ -101,21 +100,6 @@ class SubsumptionIndex:
 
     def known(self, name: str) -> bool:
         return name in self.subsumers
-
-    @cached_property
-    def uml_classes(self) -> tuple[str, ...]:
-        """The UML classes of the model, sorted."""
-        return self._subsumed_by(UML_CLASS)
-
-    @cached_property
-    def uml_attribute_classes(self) -> tuple[str, ...]:
-        """The classes of the model's attributes, sorted."""
-        return self._subsumed_by(UML_ATTRIBUTE)
-
-    def _subsumed_by(self, kind: str) -> tuple[str, ...]:
-        return tuple(sorted(
-            name for name, sups in self.subsumers.items() if name.startswith("c:") and kind in sups
-        ))
 
     @cached_property
     def subclasses(self) -> dict[str, list[str]]:

@@ -8,20 +8,30 @@ association graphs, the subsumption, attribute and edge tables must be
 equal, keys included, and reachability must agree for every source/target
 pair. The reachability memo must stay empty until a query runs and then
 hold exactly the sources that were queried.
+
+The umlExtract reference copies the earlier lookup, which scanned a sorted
+pool of every UML class (or attribute class) for the ones a concept
+subsumes. On random prepared contexts, every thesaurus concept and some
+unknown names, in class and in attribute position, must give the same
+matches in the same order, or no match and ``NoUmlCandidateError``.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import NamedTuple
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onco_rewriter.model import closure
+from onco_rewriter.model import closure, load_thesaurus
 from onco_rewriter.ontology import (
     HAS_ASSOCIATION,
     HAS_ATTRIBUTE,
+    UML_ATTRIBUTE,
+    UML_CLASS,
     AxiomSet,
     Conjunction,
     Existential,
@@ -30,8 +40,20 @@ from onco_rewriter.ontology import (
     SubPropertyOf,
     TransitiveProperty,
 )
-from onco_rewriter.reasoner import _decompose, association_reachable, classify
-from onco_rewriter.synthetic import random_association_graph, random_el_axiom_set
+from onco_rewriter.pipeline import (
+    ConceptRef,
+    HasAttributeSome,
+    NoUmlCandidateError,
+    extract_uml,
+    prepare_context,
+)
+from onco_rewriter.reasoner import SubsumptionIndex, _decompose, association_reachable, classify
+from onco_rewriter.synthetic import (
+    benchmark_model,
+    random_annotated_model,
+    random_association_graph,
+    random_el_axiom_set,
+)
 
 # --- reference implementation -------------------------------------------------
 
@@ -118,6 +140,15 @@ def eager_reachable(tables: Tables, source: str, target: str) -> bool:
     )
 
 
+def pool_scan(index: SubsumptionIndex, name: str, attribute_position: bool) -> list[str]:
+    kind = UML_ATTRIBUTE if attribute_position else UML_CLASS
+    pool = tuple(sorted(
+        x for x, sups in index.subsumers.items() if x.startswith("c:") and kind in sups
+    ))
+    concept = f"n:{name}"
+    return [x for x in pool if concept in index.subsumers[x]]
+
+
 # --- random inputs -----------------------------------------------------------
 
 
@@ -170,3 +201,50 @@ def test_classify_and_reachability_match_eager_tables(kind, seed):
                 assert got == eager_reachable(expected, source, target), (source, target)
         assert index.reach == {s: expected.reach[s] for s in sources[:done]}
 
+
+
+def random_context(rng: random.Random):
+    """A random annotated model with generalizations between its classes and
+    extra subsumptions between its concepts (both pointing only to earlier
+    names, so neither has a cycle), plus a concept outside the signature."""
+    model, thesaurus = random_annotated_model(rng)
+    classes = list(model.classes)
+    for i in range(1, len(classes)):
+        supers = rng.sample([c.name for c in classes[:i]], rng.randint(0, min(i, 2)))
+        classes[i] = replace(classes[i], superclasses=tuple(supers))
+    model = replace(model, classes=tuple(classes))
+    concepts = thesaurus.concepts
+    edges = set(thesaurus.subsumptions)
+    for i in range(2, len(concepts)):
+        edges.update((concepts[i], p) for p in rng.sample(concepts[1:i], rng.randint(0, 1)))
+    lines = [f"CONCEPT {c}" for c in (*concepts, "Stray")]
+    lines += [f"SUB {child} {parent}" for child, parent in sorted(edges)]
+    thesaurus = load_thesaurus("\n".join(lines))
+    return prepare_context(model, thesaurus), thesaurus
+
+
+def assert_uml_lookup_matches_pool_scan(index: SubsumptionIndex, names) -> None:
+    for name in (*names, "Absent", "UMLClass", "C0"):
+        for attribute_position in (False, True):
+            ast = HasAttributeSome(ConceptRef(name)) if attribute_position else ConceptRef(name)
+            expected = pool_scan(index, name, attribute_position)
+            if not expected:
+                with pytest.raises(NoUmlCandidateError):
+                    extract_uml(ast, index)
+                continue
+            got = [c.provenance.concept_choices[0][1] for c in extract_uml(ast, index)]
+            assert got == expected, (name, attribute_position)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_uml_lookup_matches_pool_scan(seed):
+    context, thesaurus = random_context(random.Random(seed))
+    assert_uml_lookup_matches_pool_scan(context.index, thesaurus.concepts)
+
+
+def test_uml_lookup_matches_pool_scan_on_fixed_models(cabio_context, ncit_thesaurus):
+    assert_uml_lookup_matches_pool_scan(cabio_context.index, ncit_thesaurus.concepts)
+    model, thesaurus, _, _ = benchmark_model()
+    context = prepare_context(model, thesaurus)
+    assert_uml_lookup_matches_pool_scan(context.index, thesaurus.concepts)

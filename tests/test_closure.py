@@ -22,13 +22,20 @@ from onco_rewriter.model import (
     load_model,
     load_thesaurus,
 )
-from onco_rewriter.module_extraction import ThesaurusAxiomSet, extract_module, strip_disjoints
-from onco_rewriter.ontology import Named, SubClassOf, concept_name, generate_ontology
+from onco_rewriter.module_extraction import extract_module, strip_disjoints
+from onco_rewriter.ontology import (
+    DEFAULT_PREFIXES,
+    AxiomSet,
+    Named,
+    SubClassOf,
+    concept_name,
+    generate_ontology,
+)
 
 # --- reference implementations ---------------------------------------------
 
 
-def fixpoint_extract_module(thesaurus_axioms: ThesaurusAxiomSet, sigma: Signature):
+def fixpoint_extract_module(thesaurus_axioms: AxiomSet, sigma: Signature):
     relevant = {concept_name(name) for name in sigma.concept_names}
     kept: list[SubClassOf] = []
     kept_idx: set[int] = set()
@@ -155,7 +162,8 @@ def test_module_matches_fixpoint_reference(graph, data):
     )
     module = extract_module(stripped, sigma)
     assert module.axioms == fixpoint_extract_module(stripped, sigma)
-    assert module.disjoints_removed
+    assert isinstance(module, AxiomSet)
+    assert module.prefixes == {"n": DEFAULT_PREFIXES["n"]}
 
 
 @settings(deadline=None)

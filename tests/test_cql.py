@@ -5,6 +5,7 @@ import random
 import pytest
 
 from onco_rewriter.cql import (
+    MAX_NESTING,
     CqlAssociation,
     CqlAttribute,
     CqlError,
@@ -197,6 +198,44 @@ def test_nested_associations_to_depth_twelve():
     query = CqlQuery(target=CqlTarget(name="org.example.Root", child=child))
     assert validate_grammar(query) == []
     assert parse_xml(to_xml(query)) == query
+
+
+def _association_chain(depth: int) -> CqlQuery:
+    """A query with depth elements nested under its Target."""
+    child = CqlAttribute(name="leaf", predicate="IS_NOT_NULL")
+    for level in range(depth - 1):
+        child = CqlAssociation(name=f"org.example.C{level}", role_name=f"r{level}", child=child)
+    return CqlQuery(target=CqlTarget(name="org.example.Root", child=child))
+
+
+def test_parse_bounds_element_nesting():
+    document = to_xml(_association_chain(MAX_NESTING))
+    assert to_xml(parse_xml(document)) == document
+    message = f"nested deeper than {MAX_NESTING} levels under Target"
+    with pytest.raises(CqlXmlError, match=message):
+        parse_xml(to_xml(_association_chain(MAX_NESTING + 1)))
+    # a chain far deeper than to_xml can write is still a typed error
+    document = (
+        '<ns1:CQLQuery xmlns:ns1="http://CQL.caBIG/1/gov.nih.nci.cagrid.CQLQuery">'
+        '<ns1:Target name="x">'
+        + '<ns1:Association name="C" roleName="r">' * 1500
+        + "</ns1:Association>" * 1500
+        + "</ns1:Target></ns1:CQLQuery>"
+    )
+    with pytest.raises(CqlXmlError, match=message):
+        parse_xml(document)
+
+
+def test_parse_bounds_group_nesting():
+    child = CqlAttribute(name="leaf", predicate="IS_NOT_NULL")
+    for level in range(MAX_NESTING - 1):
+        leaf = CqlAttribute(name=f"a{level}", predicate="IS_NULL")
+        child = CqlGroup(logical_op="AND", items=(leaf, child))
+    document = to_xml(CqlQuery(target=CqlTarget(name="org.example.Root", child=child)))
+    assert to_xml(parse_xml(document)) == document
+    deeper = CqlGroup(logical_op="OR", items=(CqlAttribute(name="b", predicate="IS_NULL"), child))
+    with pytest.raises(CqlXmlError, match=f"nested deeper than {MAX_NESTING} levels"):
+        parse_xml(to_xml(CqlQuery(target=CqlTarget(name="org.example.Root", child=deeper))))
 
 
 def test_round_trip_on_generated_corpus():

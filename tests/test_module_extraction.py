@@ -5,8 +5,16 @@ import random
 import pytest
 
 from onco_rewriter.model import Signature, Thesaurus, load_thesaurus, model_signature
-from onco_rewriter.module_extraction import ThesaurusAxiomSet, extract_module, strip_disjoints
-from onco_rewriter.ontology import Named, SubClassOf
+from onco_rewriter.module_extraction import extract_module, strip_disjoints
+from onco_rewriter.ontology import (
+    DEFAULT_PREFIXES,
+    AxiomSet,
+    Existential,
+    Named,
+    OntologyError,
+    SubClassOf,
+    TransitiveProperty,
+)
 from onco_rewriter.synthetic import random_thesaurus, resolve_seed
 
 
@@ -21,7 +29,7 @@ def signature(*names) -> Signature:
     return Signature(concept_names=frozenset(names))
 
 
-def sub_pairs(axioms: ThesaurusAxiomSet) -> set[tuple[str, str]]:
+def sub_pairs(axioms: AxiomSet) -> set[tuple[str, str]]:
     return {(a.sub.name, a.sup.name) for a in axioms}
 
 
@@ -44,7 +52,8 @@ def test_strip_keeps_subsumptions_discards_disjoints():
         ["A", "B", "C", "D"], [("A", "B"), ("B", "C"), ("D", "C")], [("A", "D"), ("B", "D")]
     )
     stripped = strip_disjoints(thesaurus)
-    assert stripped.disjoints_removed
+    assert isinstance(stripped, AxiomSet)
+    assert stripped.prefixes == {"n": DEFAULT_PREFIXES["n"]}
     assert len(stripped) == 3
     assert sub_pairs(stripped) == {("n:A", "n:B"), ("n:B", "n:C"), ("n:D", "n:C")}
 
@@ -59,12 +68,16 @@ def test_strip_disjoint_only_thesaurus_yields_empty_axioms():
     assert len(strip_disjoints(thesaurus)) == 0
 
 
-def test_extract_requires_stripping():
-    unstripped = ThesaurusAxiomSet(
-        axioms=(SubClassOf(Named("n:A"), Named("n:B")),), disjoints_removed=False
-    )
-    with pytest.raises(ValueError, match="strip_disjoints"):
-        extract_module(unstripped, signature("A"))
+@pytest.mark.parametrize(
+    "axiom",
+    [
+        SubClassOf(Named("n:A"), Existential("u:hasAssociation", Named("n:B"))),
+        TransitiveProperty("u:hasAssociation"),
+    ],
+)
+def test_extract_rejects_an_axiom_that_is_not_named_subsumption(axiom):
+    with pytest.raises(OntologyError, match="named-to-named"):
+        extract_module(AxiomSet((axiom,)), signature("A"))
 
 
 def test_full_signature_returns_whole_axiom_set(ncit_thesaurus):

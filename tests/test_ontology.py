@@ -223,7 +223,7 @@ def test_count_laws(cabio_model):
 
 
 def test_generation_deterministic(cabio_model, ncit_thesaurus):
-    module_axioms = thesaurus_module(cabio_model, ncit_thesaurus).to_axiom_set()
+    module_axioms = thesaurus_module(cabio_model, ncit_thesaurus)
     first = serialize_axioms(generate_ontology(cabio_model, module_axioms))
     second = serialize_axioms(generate_ontology(cabio_model, module_axioms))
     assert first == second
@@ -273,7 +273,7 @@ def test_datatype_mapping():
 
 
 def test_generated_ontologies_are_el(cabio_model, ncit_thesaurus):
-    module_axioms = thesaurus_module(cabio_model, ncit_thesaurus).to_axiom_set()
+    module_axioms = thesaurus_module(cabio_model, ncit_thesaurus)
     axioms = generate_ontology(cabio_model, module_axioms)
     assert el_conformance_report(axioms) == []
 
@@ -309,7 +309,7 @@ def test_serialize_empty_set_is_header_only():
 
 
 def test_round_trip_on_fixture(cabio_model, ncit_thesaurus):
-    module_axioms = thesaurus_module(cabio_model, ncit_thesaurus).to_axiom_set()
+    module_axioms = thesaurus_module(cabio_model, ncit_thesaurus)
     axioms = generate_ontology(cabio_model, module_axioms)
     assert parse_axioms(serialize_axioms(axioms)) == axioms
 
@@ -326,6 +326,24 @@ def test_parse_errors_carry_line_numbers():
 
     with pytest.raises(AxiomParseError, match="line 2"):
         parse_axioms("Prefix(c:=<http://x#>)\nNonsense(c:A)\n")
+
+
+@pytest.mark.parametrize("wrap", ["ObjectIntersectionOf(n:B {})", "ObjectSomeValuesFrom(c:p {})"])
+def test_parse_bounds_expression_nesting(wrap):
+    from onco_rewriter.ontology import MAX_NESTING, AxiomParseError
+
+    def document(levels: int) -> str:
+        expr = "n:A"
+        for _ in range(levels):
+            expr = wrap.format(expr)
+        return f"Prefix(n:=<http://x#>)\n\nSubClassOf(n:X n:Y)\nSubClassOf(n:X {expr})\n"
+
+    at_bound = document(MAX_NESTING)
+    assert serialize_axioms(parse_axioms(at_bound)) == at_bound
+    message = f"line 4: class expression nested deeper than {MAX_NESTING} levels"
+    for levels in (MAX_NESTING + 1, 3000):
+        with pytest.raises(AxiomParseError, match=message):
+            parse_axioms(document(levels))
 
 
 def _character_loop_tokens(line: str) -> list[str]:
