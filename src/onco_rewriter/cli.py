@@ -101,7 +101,7 @@ def _emit(args: argparse.Namespace, stem: str, content: str) -> None:
 def cmd_ontogen(args: argparse.Namespace) -> int:
     model, thesaurus = _load(args)
     module_axioms = thesaurus_module(model, thesaurus)
-    ontology = generate_ontology(model, module_axioms)
+    ontology = generate_ontology(model)
     ontology_path = _write(args.out, "ontology.axioms", serialize_axioms(ontology))
     module_path = _write(args.out, "module.axioms", serialize_axioms(module_axioms))
     print(f"wrote {ontology_path}")

@@ -153,21 +153,15 @@ class AxiomSet:
 
 
 def merge_axiom_sets(*sets: AxiomSet) -> AxiomSet:
-    """Concatenate axiom sets, dropping duplicates, keeping first-seen order.
-    Prefix maps must agree on shared prefixes."""
-    axioms: list[Axiom] = []
-    seen: set[Axiom] = set()
+    """Concatenate axiom sets in order; prefix maps must agree on shared
+    prefixes. No dedupe: each input is duplicate-free, and an ontology's
+    ``c:``/``u:`` subjects never meet a thesaurus module's ``n:`` ones."""
     prefixes: dict[str, str] = {}
     for s in sets:
         for prefix, iri in s.prefixes.items():
-            if prefix in prefixes and prefixes[prefix] != iri:
+            if prefixes.setdefault(prefix, iri) != iri:
                 raise OntologyError(f"conflicting IRI for prefix '{prefix}'")
-            prefixes[prefix] = iri
-        for axiom in s.axioms:
-            if axiom not in seen:
-                seen.add(axiom)
-                axioms.append(axiom)
-    return AxiomSet(axioms=tuple(axioms), prefixes=prefixes)
+    return AxiomSet(axioms=tuple(a for s in sets for a in s.axioms), prefixes=prefixes)
 
 
 # --- generated-name helpers ----------------------------------------------
@@ -212,21 +206,32 @@ class ModelNaming:
 
 
 def model_naming(model: UMLModel) -> ModelNaming:
-    properties = {
-        association_property_name(a.source, a.role_name, a.target): (a.source, a.role_name, a.target)
-        for a in model.associations
-    }
-    attribute_classes = {
-        attribute_class_name(c.name, a.name): (c.name, a.name)
-        for c in model.classes
-        for a in c.attributes
-    }
-    classes = {class_name(c.name): c.name for c in model.classes}
-    return ModelNaming(
-        properties=properties,
-        attribute_classes=attribute_classes,
-        classes=classes,
-    )
+    """The table of every generated class, attribute-class and association
+    name. Raises OntologyError when two model elements generate one name."""
+    described: dict[str, str] = {}
+
+    def register(table: dict, name: str, element, described_as: str) -> None:
+        if name in described:
+            raise OntologyError(
+                f"generated name collision: '{name}' is both {described[name]} and {described_as}"
+            )
+        described[name] = described_as
+        table[name] = element
+
+    classes: dict[str, str] = {}
+    attribute_classes: dict[str, tuple[str, str]] = {}
+    properties: dict[str, tuple[str, str, str]] = {}
+    for c in model.classes:
+        register(classes, class_name(c.name), c.name, f"class {c.name}")
+    for c in model.classes:
+        for a in c.attributes:
+            name = attribute_class_name(c.name, a.name)
+            register(attribute_classes, name, (c.name, a.name), f"attribute {c.name}.{a.name}")
+    for a in model.associations:
+        name = association_property_name(a.source, a.role_name, a.target)
+        element = (a.source, a.role_name, a.target)
+        register(properties, name, element, f"association {a.source}.{a.role_name}")
+    return ModelNaming(properties=properties, attribute_classes=attribute_classes, classes=classes)
 
 
 # --- generation -----------------------------------------------------------
@@ -251,53 +256,16 @@ def _annotation_expr(annotation: Annotation) -> ClassExpr:
     return Conjunction((primary, cell(0)))
 
 
-def generate_ontology(model: UMLModel, thesaurus_module: AxiomSet | None = None) -> AxiomSet:
+def generate_ontology(model: UMLModel) -> AxiomSet:
     """Transform an annotated UML model into an EL axiom set.
 
     Emits, per class: the upper-vocabulary subsumption, the annotation
     encoding, attribute classes with datatype restrictions, association
     properties, generalizations, and explicit copies of every inherited
-    association and attribute restriction. When a thesaurus module is
-    supplied, every annotation concept must occur in it.
+    association and attribute restriction. Raises OntologyError, through
+    ``model_naming``, when two model elements generate one name.
     """
-    module_names: frozenset[str] | None = None
-    if thesaurus_module is not None:
-        module_names = frozenset(
-            name[len("n:"):] for name in thesaurus_module.class_names() if name.startswith("n:")
-        )
-
-    def check_annotation(annotation: Annotation, owner: str) -> None:
-        if module_names is None:
-            return
-        for concept in annotation.concept_names():
-            if concept not in module_names:
-                raise OntologyError(
-                    f"annotation concept '{concept}' on {owner} is absent from the thesaurus module"
-                )
-
-    generated_names: dict[str, str] = {}
-
-    def register(name: str, described_as: str) -> None:
-        if name in generated_names:
-            raise OntologyError(
-                f"generated name collision: '{name}' is both {generated_names[name]} and {described_as}"
-            )
-        generated_names[name] = described_as
-
-    for cls in model.classes:
-        register(class_name(cls.name), f"class {cls.name}")
-    for cls in model.classes:
-        for attr in cls.attributes:
-            register(
-                attribute_class_name(cls.name, attr.name),
-                f"attribute {cls.name}.{attr.name}",
-            )
-    for assoc in model.associations:
-        register(
-            association_property_name(assoc.source, assoc.role_name, assoc.target),
-            f"association {assoc.source}.{assoc.role_name}",
-        )
-
+    model_naming(model)
     axioms: list[Axiom] = [TransitiveProperty(HAS_ASSOCIATION)]
     seen: set[Axiom] = set(axioms)
 
@@ -311,7 +279,6 @@ def generate_ontology(model: UMLModel, thesaurus_module: AxiomSet | None = None)
         # (a) upper-vocabulary membership and annotation
         emit(SubClassOf(c, Named(UML_CLASS)))
         if cls.annotation is not None:
-            check_annotation(cls.annotation, f"class {cls.name}")
             emit(SubClassOf(c, _annotation_expr(cls.annotation)))
         # (b) attribute classes
         for attr in cls.attributes:
@@ -319,7 +286,6 @@ def generate_ontology(model: UMLModel, thesaurus_module: AxiomSet | None = None)
             emit(SubClassOf(a, Named(UML_ATTRIBUTE)))
             emit(SubClassOf(a, DataExistential(HAS_VALUE, DATATYPE_MAP[attr.datatype])))
             if attr.annotation is not None:
-                check_annotation(attr.annotation, f"attribute {cls.name}.{attr.name}")
                 emit(SubClassOf(a, _annotation_expr(attr.annotation)))
             emit(SubClassOf(c, Existential(HAS_ATTRIBUTE, a)))
         # (c) association properties

@@ -29,6 +29,7 @@ import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 
+from .cql import MAX_NESTING as CQL_MAX_NESTING
 from .cql import CqlAssociation, CqlAttribute, CqlGroup, CqlQuery, CqlTarget
 from .model import Thesaurus, UMLModel, model_signature
 from .module_extraction import extract_module, strip_disjoints
@@ -37,6 +38,7 @@ from .ontology import (
     UML_CLASS,
     AxiomSet,
     ModelNaming,
+    OntologyError,
     generate_ontology,
     merge_axiom_sets,
     model_naming,
@@ -95,6 +97,13 @@ class NoPathError(PipelineError):
         self.source = source
         self.target = target
         super().__init__("pathFind", f"no association path from {source} to {target}")
+
+
+class NestingLimitError(PipelineError):
+    def __init__(self, depth: int):
+        self.depth = depth
+        message = f"expansion nests {depth} CQL elements under Target, more than {CQL_MAX_NESTING}"
+        super().__init__("pathFind", message)
 
 
 class CandidateLimitError(PipelineError):
@@ -384,7 +393,7 @@ class LazyProduct(Sequence):
     ``len()``, it holds counts past ``sys.maxsize``."""
 
     def __init__(self, choices: Sequence[Sequence], build: Callable[[tuple], object]):
-        self._choices = choices
+        self.choices = choices
         self._build = build
         self.size = math.prod(len(options) for options in choices)
 
@@ -397,13 +406,13 @@ class LazyProduct(Sequence):
         if not 0 <= position < self.size:
             raise IndexError("product index out of range")
         combo = []
-        for options in reversed(self._choices):
+        for options in reversed(self.choices):
             position, digit = divmod(position, len(options))
             combo.append(options[digit])
         return self._build(tuple(reversed(combo)))
 
     def __iter__(self):
-        return map(self._build, itertools.product(*self._choices))
+        return map(self._build, itertools.product(*self.choices))
 
 
 def extract_uml(ast: QueryNode, index: SubsumptionIndex) -> LazyProduct:
@@ -662,6 +671,40 @@ def find_property_paths(
         )
 
     return LazyProduct([paths for _, _, paths in occurrences], build)
+
+
+def cql_depth(resolved: QueryNode, expansions: LazyProduct) -> int:
+    """The most elements ``to_xml`` nests under Target for any expansion of
+    the resolved query, counting one per Association, Group and Attribute.
+    ``expansions`` is ``find_property_paths``' result for ``resolved`` with
+    its data values stripped; its occurrences come in preorder. Only path
+    lengths vary between expansions, so the deepest one takes each
+    occurrence's longest path."""
+    longest = (max(len(path.steps) for path in paths) for paths in expansions.choices)
+
+    def height(node: QueryNode) -> int:
+        heights = []
+        for part in _parts(node):
+            if isinstance(part, HasAssociationSome):
+                heights.append(next(longest) + height(part.inner))
+            elif isinstance(part, HasAttributeSome):
+                heights.extend(1 for p in _parts(part.inner) if isinstance(p, HasValueEquals))
+        # one item sits directly under its parent; two or more go in a Group
+        return 1 + max(heights) if len(heights) > 1 else sum(heights)
+
+    return height(resolved)
+
+
+def check_cql_nesting(resolved: QueryNode, expansions: LazyProduct, max_nodes: int) -> None:
+    """Raise NestingLimitError when an expansion would serialize to CQL
+    nested deeper than ``cql.parse_xml`` accepts."""
+    # without a walk: each occurrence adds at most max_nodes - 1 Associations
+    # and one Group, and the query's own context a Group and an Attribute
+    if len(expansions.choices) * max_nodes + 2 <= CQL_MAX_NESTING:
+        return
+    depth = cql_depth(resolved, expansions)
+    if depth > CQL_MAX_NESTING:
+        raise NestingLimitError(depth)
 
 
 # --- monoid comprehension ---------------------------------------------------------
@@ -959,15 +1002,21 @@ class RewriteOutcome:
 
 def thesaurus_module(model: UMLModel, thesaurus: Thesaurus) -> AxiomSet:
     """The module of the disjointness-free thesaurus for the model's
-    annotation signature."""
-    return extract_module(strip_disjoints(thesaurus), model_signature(model))
+    annotation signature. Raises OntologyError naming the first (sorted)
+    annotation concept the thesaurus does not declare; a declared one need
+    not occur in any kept axiom (a root, or a concept in no SUB line)."""
+    signature = model_signature(model)
+    undeclared = signature.concept_names.difference(thesaurus.concepts)
+    if undeclared:
+        raise OntologyError(f"annotation concept '{min(undeclared)}' is not in the thesaurus")
+    return extract_module(strip_disjoints(thesaurus), signature)
 
 
 def prepare_context(model: UMLModel, thesaurus: Thesaurus) -> RewriteContext:
     """Generate the ontology and thesaurus module for a model and classify
     their union."""
     module_axioms = thesaurus_module(model, thesaurus)
-    ontology = generate_ontology(model, module_axioms)
+    ontology = generate_ontology(model)
     merged = merge_axiom_sets(ontology, module_axioms)
     return RewriteContext(
         model=model,
@@ -1017,6 +1066,7 @@ def rewrite_prepared(
             dropped.append((candidate.provenance, str(error)))
             last_error = error
             continue
+        timed("pathFind", check_cql_nesting, candidate.ast, expansions, options.max_nodes)
         if len(results) + expansions.size > options.candidate_limit:
             raise CandidateLimitError(
                 "pathFind", len(results) + expansions.size, options.candidate_limit

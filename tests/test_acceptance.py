@@ -221,7 +221,7 @@ def test_criterion_7_stage_timing_shape():
             strip_disjoints(thesaurus),
             Signature(frozenset(thesaurus.concepts)),
         )
-        ontology = generate_ontology(model, module)
+        ontology = generate_ontology(model)
         generation_elapsed = time.perf_counter() - start
         assert generation_elapsed < 10.0, f"generation took {generation_elapsed:.3f}s"
 

@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onco_rewriter.model import load_model
+from onco_rewriter.model import load_model, load_thesaurus
 from onco_rewriter.ontology import (
+    DEFAULT_PREFIXES,
     HAS_ASSOCIATION,
     HAS_ATTRIBUTE,
     HAS_CONTENTS,
@@ -29,6 +31,8 @@ from onco_rewriter.ontology import (
     TransitiveProperty,
     el_conformance_report,
     generate_ontology,
+    merge_axiom_sets,
+    model_naming,
     parse_axioms,
     serialize_axioms,
 )
@@ -224,8 +228,8 @@ def test_count_laws(cabio_model):
 
 def test_generation_deterministic(cabio_model, ncit_thesaurus):
     module_axioms = thesaurus_module(cabio_model, ncit_thesaurus)
-    first = serialize_axioms(generate_ontology(cabio_model, module_axioms))
-    second = serialize_axioms(generate_ontology(cabio_model, module_axioms))
+    first = serialize_axioms(generate_ontology(cabio_model))
+    second = serialize_axioms(generate_ontology(cabio_model))
     assert first == second
 
 
@@ -245,11 +249,55 @@ def test_name_collision_is_hard_error():
         generate_ontology(model)
 
 
+@pytest.mark.parametrize(
+    "classes, associations, message",
+    [
+        (
+            [
+                {"name": "A_b", "attributes": [{"name": "c", "datatype": "string"}]},
+                {"name": "A", "attributes": [{"name": "b_c", "datatype": "string"}]},
+            ],
+            [],
+            "'c:A_b_c' is both attribute A_b.c and attribute A.b_c",
+        ),
+        (
+            [{"name": "A_r"}, {"name": "A"}, {"name": "B"}],
+            [
+                {"source": "A_r", "roleName": "s", "target": "B"},
+                {"source": "A", "roleName": "r_s", "target": "B"},
+            ],
+            "'c:A_r_s_B' is both association A_r.s and association A.r_s",
+        ),
+    ],
+)
+def test_name_collision_within_one_kind_is_hard_error(classes, associations, message):
+    model = model_from(classes, associations)
+    for build in (generate_ontology, model_naming):
+        with pytest.raises(OntologyError, match=f"generated name collision: {re.escape(message)}"):
+            build(model)
+
+
+def test_merge_concatenates_in_input_order():
+    first = AxiomSet(axioms=(TransitiveProperty("u:p"), SubPropertyOf("c:q", "u:p")))
+    second = AxiomSet(
+        axioms=(SubClassOf(Named("n:B"), Named("n:A")), TransitiveProperty("u:p")),
+        prefixes={"n": DEFAULT_PREFIXES["n"], "x": "http://example.org/x#"},
+    )
+    merged = merge_axiom_sets(first, second)
+    assert merged.axioms == first.axioms + second.axioms
+    assert merged.prefixes == {**DEFAULT_PREFIXES, "x": "http://example.org/x#"}
+
+
+def test_merge_rejects_a_prefix_conflict():
+    clashing = AxiomSet(axioms=(), prefixes={"n": "http://example.org/other#"})
+    with pytest.raises(OntologyError, match="conflicting IRI for prefix 'n'"):
+        merge_axiom_sets(AxiomSet(axioms=()), clashing)
+
+
 def test_annotation_concept_missing_from_module():
     model = model_from([{"name": "A", "annotation": {"primary": "Mystery"}}])
-    empty_module = AxiomSet(axioms=())
     with pytest.raises(OntologyError, match="Mystery"):
-        generate_ontology(model, empty_module)
+        thesaurus_module(model, load_thesaurus("CONCEPT Other"))
 
 
 def test_datatype_mapping():
@@ -274,7 +322,7 @@ def test_datatype_mapping():
 
 def test_generated_ontologies_are_el(cabio_model, ncit_thesaurus):
     module_axioms = thesaurus_module(cabio_model, ncit_thesaurus)
-    axioms = generate_ontology(cabio_model, module_axioms)
+    axioms = generate_ontology(cabio_model)
     assert el_conformance_report(axioms) == []
 
 
@@ -310,7 +358,7 @@ def test_serialize_empty_set_is_header_only():
 
 def test_round_trip_on_fixture(cabio_model, ncit_thesaurus):
     module_axioms = thesaurus_module(cabio_model, ncit_thesaurus)
-    axioms = generate_ontology(cabio_model, module_axioms)
+    axioms = generate_ontology(cabio_model)
     assert parse_axioms(serialize_axioms(axioms)) == axioms
 
 

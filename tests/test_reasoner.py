@@ -296,7 +296,7 @@ def test_paths_are_simple_and_chained(cabio_context, cabio_model):
 
 def test_classify_merged_fixture_agrees_with_oracle(cabio_model, ncit_thesaurus):
     module_axioms = thesaurus_module(cabio_model, ncit_thesaurus)
-    merged = merge_axiom_sets(generate_ontology(cabio_model, module_axioms), module_axioms)
+    merged = merge_axiom_sets(generate_ontology(cabio_model), module_axioms)
     index = classify(merged)
     expected = oracle_subsumers(merged)
     assert {k: set(v) for k, v in index.subsumers.items()} == expected
