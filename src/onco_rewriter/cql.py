@@ -173,40 +173,45 @@ def to_xml(query: CqlQuery) -> str:
 
     lines: list[str] = [f'<ns1:CQLQuery xmlns:ns1="{CQL_NAMESPACE}">']
 
-    def element(depth: int, tag: str, attrs: tuple, children: tuple = ()) -> None:
-        """Drop attributes valued None; self-close when there are no children."""
-        indent = " " * depth
-        head = indent + f"<ns1:{tag}" + "".join(
-            f' {key}="{_escape(value)}"' for key, value in attrs if value is not None
-        )
+    def element(head: str, children: tuple, depth: int, tag: str) -> None:
+        """Self-close when there are no children."""
         if not children:
             lines.append(head + "/>")
             return
         lines.append(head + ">")
         for child in children:
             emit(child, depth + 1)
-        lines.append(f"{indent}</ns1:{tag}>")
+        lines.append(f"{' ' * depth}</ns1:{tag}>")
 
     def emit(node, depth: int) -> None:
-        # validate_grammar has admitted only these node types; a str is one
-        # of a QueryModifier's attribute names
-        if isinstance(node, str):
-            lines.append(f"{' ' * depth}<ns1:AttributeNames>{_escape(node)}</ns1:AttributeNames>")
+        # validate_grammar has admitted only these node types, a predicate
+        # from PREDICATES and an operator from LOGICAL_OPS (neither needs
+        # escaping), and a value of None only where the predicate takes none;
+        # a str is one of a QueryModifier's attribute names
+        indent = " " * depth
+        if isinstance(node, CqlAssociation):
+            name, role = _escape(node.name), _escape(node.role_name)
+            head = f'{indent}<ns1:Association name="{name}" roleName="{role}"'
+            element(head, () if node.child is None else (node.child,), depth, "Association")
         elif isinstance(node, CqlAttribute):
-            attrs = (("name", node.name), ("predicate", node.predicate), ("value", node.value))
-            element(depth, "Attribute", attrs)
-        elif isinstance(node, CqlAssociation):
-            attrs = (("name", node.name), ("roleName", node.role_name))
-            element(depth, "Association", attrs, () if node.child is None else (node.child,))
+            name, predicate = _escape(node.name), node.predicate
+            value = "" if node.value is None else f' value="{_escape(node.value)}"'
+            lines.append(f'{indent}<ns1:Attribute name="{name}" predicate="{predicate}"{value}/>')
+        elif isinstance(node, CqlGroup):
+            element(f'{indent}<ns1:Group logicalOp="{node.logical_op}"', node.items, depth, "Group")
         else:
-            element(depth, "Group", (("logicalOp", node.logical_op),), node.items)
+            lines.append(f"{indent}<ns1:AttributeNames>{_escape(node)}</ns1:AttributeNames>")
 
     target = query.target
-    element(1, "Target", (("name", target.name),), () if target.child is None else (target.child,))
+    head = f' <ns1:Target name="{_escape(target.name)}"'
+    element(head, () if target.child is None else (target.child,), 1, "Target")
     m = query.modifier
     if m is not None:
-        attrs = (("distinctAttribute", m.distinct_attribute),)
-        element(1, "QueryModifier", attrs, m.attribute_names)
+        distinct = m.distinct_attribute
+        head = " <ns1:QueryModifier" + (
+            "" if distinct is None else f' distinctAttribute="{_escape(distinct)}"'
+        )
+        element(head, m.attribute_names, 1, "QueryModifier")
     lines.append("</ns1:CQLQuery>")
     return "\n".join(lines) + "\n"
 

@@ -526,7 +526,10 @@ def extract_data_values(ast: QueryNode) -> tuple[QueryNode, list[ValueBinding]]:
 
 
 def reinsert_data_values(ast: QueryNode, bindings: list[ValueBinding]) -> QueryNode:
-    """Restore extracted data values under their original attribute nodes."""
+    """Restore extracted data values under their original attribute nodes.
+    With no bindings there is nothing to restore, and ``ast`` comes back."""
+    if not bindings:
+        return ast
     groups: dict[int, list[ValueBinding]] = {}
     for binding in bindings:
         groups.setdefault(binding.attr_ordinal, []).append(binding)
@@ -633,19 +636,26 @@ def _chain_from_path(path: AssociationPath, final_inner: QueryNode) -> QueryNode
 
 
 def find_property_paths(
-    stripped: QueryNode, index: SubsumptionIndex, max_nodes: int = 16
+    stripped: QueryNode,
+    index: SubsumptionIndex,
+    max_nodes: int = 16,
+    found: dict[tuple[str, str], list[AssociationPath]] | None = None,
 ) -> LazyProduct:
     """Replace every transitive-association restriction by each concrete role
     chain that realizes it; independent occurrences multiply out in the path
-    order of the reasoner."""
+    order of the reasoner. ``found`` memoises ``find_paths`` per (source,
+    target) across calls made with the same index and ``max_nodes``."""
     occurrences: list[tuple[str, str, list[AssociationPath]]] = []
+    found = {} if found is None else found
 
     def collect(node: QueryNode) -> None:
         cls = _context_class(node)
         for part in _parts(node):
             if isinstance(part, HasAssociationSome):
                 target = _context_class(part.inner)
-                paths = find_paths(index, cls, target, max_nodes)
+                paths = found.get((cls, target))
+                if paths is None:
+                    paths = found[cls, target] = find_paths(index, cls, target, max_nodes)
                 if not paths:
                     raise NoPathError(cls, target)
                 occurrences.append((cls, target, paths))
@@ -765,20 +775,22 @@ def _predicate_for(literal: str) -> str:
 
 
 class _VarAllocator:
+    """Variables named by the first letter of their basis: ``x``, then
+    ``x2``, ``x3``, ... A letter holds no digit, so no two letters' names
+    meet and one counter per letter suffices."""
+
     def __init__(self):
-        self.used: set[str] = set()
+        self.counts: dict[str, int] = {}
 
     def fresh(self, basis: str) -> str:
-        first = next((ch.lower() for ch in basis if ch.isalpha()), "v")
-        if first not in self.used:
-            self.used.add(first)
-            return first
-        suffix = 2
-        while f"{first}{suffix}" in self.used:
-            suffix += 1
-        name = f"{first}{suffix}"
-        self.used.add(name)
-        return name
+        for ch in basis:
+            if ch.isalpha():
+                first = ch.lower()
+                break
+        else:
+            first = "v"
+        count = self.counts[first] = self.counts.get(first, 0) + 1
+        return first if count == 1 else f"{first}{count}"
 
 
 def to_mcc(ast: QueryNode, naming: ModelNaming) -> MccComprehension:
@@ -790,8 +802,6 @@ def to_mcc(ast: QueryNode, naming: ModelNaming) -> MccComprehension:
 
     def visit(node: QueryNode, var: str) -> None:
         for part in _parts(node):
-            if isinstance(part, UmlClassRef):
-                continue
             if isinstance(part, AssocStep):
                 role = naming.role_of(part.property_name)
                 target_class = naming.bare_class(_context_class(part.inner))
@@ -799,6 +809,8 @@ def to_mcc(ast: QueryNode, naming: ModelNaming) -> MccComprehension:
                 qualifiers.append(PathGenerator(var=child, source_var=var, role_name=role))
                 qualifiers.append(TypeBind(var=child, class_name=target_class))
                 visit(part.inner, child)
+            elif isinstance(part, UmlClassRef):
+                continue
             elif isinstance(part, HasAttributeSome):
                 attr_class = _context_attribute(part.inner)
                 attr_name = naming.attribute_of(attr_class)
@@ -1029,7 +1041,17 @@ def prepare_context(model: UMLModel, thesaurus: Thesaurus) -> RewriteContext:
 def rewrite_prepared(
     context: RewriteContext, text: str, options: RewriteOptions | None = None
 ) -> RewriteOutcome:
-    """Run the eight rewriting stages over a prepared context."""
+    """Run the eight rewriting stages over a prepared context, in two phases.
+
+    The plan runs valueExtract, validate and pathFind for every candidate
+    and counts the expansions, building none; the candidate limit is checked
+    on the running count. The build then runs valueReinsert, mcc and cql for
+    every expansion, or only for the first under ``selection="first"``. So a
+    later candidate's plan error (``CandidateLimitError``,
+    ``NestingLimitError``) is raised before an earlier candidate's build
+    error (``MccError``, an unresolvable binding); the build errors signal
+    broken internal invariants, not rejected input.
+    """
     options = options or RewriteOptions()
     durations = {stage: 0.0 for stage in STAGES}
 
@@ -1047,7 +1069,9 @@ def rewrite_prepared(
         raise CandidateLimitError("umlExtract", candidates.size, options.candidate_limit)
     candidates = timed("umlExtract", list, candidates)
 
-    results: list[RewriteResult] = []
+    plans: list[tuple[CandidateQuery, QueryNode, list[ValueBinding], LazyProduct]] = []
+    planned = 0
+    found: dict[tuple[str, str], list[AssociationPath]] = {}
     dropped: list[tuple[Provenance, str]] = []
     last_error: PipelineError | None = None
     for candidate in candidates:
@@ -1060,18 +1084,29 @@ def rewrite_prepared(
             continue
         try:
             expansions = timed(
-                "pathFind", find_property_paths, stripped, context.index, options.max_nodes
+                "pathFind", find_property_paths, stripped, context.index, options.max_nodes, found
             )
         except NoPathError as error:
             dropped.append((candidate.provenance, str(error)))
             last_error = error
             continue
         timed("pathFind", check_cql_nesting, candidate.ast, expansions, options.max_nodes)
-        if len(results) + expansions.size > options.candidate_limit:
-            raise CandidateLimitError(
-                "pathFind", len(results) + expansions.size, options.candidate_limit
-            )
-        for expansion in timed("pathFind", list, expansions):
+        planned += expansions.size
+        if planned > options.candidate_limit:
+            raise CandidateLimitError("pathFind", planned, options.candidate_limit)
+        plans.append((candidate, stripped, bindings, expansions))
+
+    if not plans:
+        if last_error is not None:
+            raise last_error
+        raise PipelineError("umlExtract", "query produced no candidates")
+
+    # every plan holds at least one expansion, so "first" builds one result
+    first = options.selection == "first"
+    results: list[RewriteResult] = []
+    for candidate, stripped, bindings, expansions in plans[:1] if first else plans:
+        wanted = itertools.islice(expansions, 1 if first else None)
+        for expansion in timed("pathFind", list, wanted):
             provenance = replace(
                 expansion.provenance, concept_choices=candidate.provenance.concept_choices
             )
@@ -1090,14 +1125,7 @@ def rewrite_prepared(
                 )
             )
 
-    if not results:
-        if last_error is not None:
-            raise last_error
-        raise PipelineError("umlExtract", "query produced no candidates")
-
-    if options.selection == "first":
-        results = results[:1]
-    elif options.selection == "interactive" and len(results) > 1:
+    if options.selection == "interactive" and len(results) > 1:
         chooser = options.chooser
         if chooser is None:
             raise PipelineError("pathFind", "interactive selection requires a chooser")

@@ -66,9 +66,12 @@ def benchmark_model() -> tuple[UMLModel, Thesaurus, list[str], list[str]]:
 
     Group one queries traverse a single direct association. Group two
     queries traverse a two-step chain whose middle classes also open into a
-    shared diamond-ladder decoy fabric: the exhaustive path search must walk
-    every simple decoy route, so path finding has strictly more work to do
-    while every other stage sees structurally identical queries.
+    shared diamond-ladder decoy fabric whose tail leads back to every middle
+    class. From the fabric a target is reachable only through the middle
+    class already on the path, so a search that walks only toward a
+    reachable target still walks every simple decoy route and finds
+    nothing: path finding has strictly more work to do while every other
+    stage sees structurally identical queries.
     Returns (model, thesaurus, length-one queries, length-two queries).
     """
     classes: list[UMLClass] = []
@@ -123,7 +126,8 @@ def benchmark_model() -> tuple[UMLModel, Thesaurus, list[str], list[str]]:
         group_two.append(_benchmark_query(source, target))
 
     # shared decoy fabric: four stacked diamonds and a tail, 15 classes;
-    # simple-path counts double per diamond, none of it reaches a target
+    # simple-path counts double per diamond, and each route ends back at
+    # the middle classes, so it reaches a target only through one of them
     plain_class("Fabric0")
     for d in range(4):
         for arm in ("A", "B"):
@@ -140,6 +144,10 @@ def benchmark_model() -> tuple[UMLModel, Thesaurus, list[str], list[str]]:
     plain_class("FabricTail1")
     associations.append(UMLAssociation(source="Fabric4", role_name="tail", target="FabricTail0"))
     associations.append(UMLAssociation(source="FabricTail0", role_name="tail", target="FabricTail1"))
+    for i in range(5):
+        associations.append(
+            UMLAssociation(source="FabricTail1", role_name=f"back{i}", target=f"BetaM{i}")
+        )
 
     thesaurus_text = "\n".join(
         [f"CONCEPT {c}" for c in concepts] + thesaurus_lines

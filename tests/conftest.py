@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from onco_rewriter.model import load_model, load_thesaurus
 from onco_rewriter.pipeline import prepare_context
+from onco_rewriter.synthetic import random_annotated_model
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -38,3 +41,23 @@ def biobank_model():
 @pytest.fixture(scope="session")
 def biobank_thesaurus():
     return load_thesaurus((FIXTURES / "biobank.thesaurus.txt").read_text(encoding="utf-8"))
+
+
+def random_context(rng: random.Random):
+    """A random annotated model with generalizations between its classes and
+    extra subsumptions between its concepts (both pointing only to earlier
+    names, so neither has a cycle), plus a concept outside the signature."""
+    model, thesaurus = random_annotated_model(rng)
+    classes = list(model.classes)
+    for i in range(1, len(classes)):
+        supers = rng.sample([c.name for c in classes[:i]], rng.randint(0, min(i, 2)))
+        classes[i] = replace(classes[i], superclasses=tuple(supers))
+    model = replace(model, classes=tuple(classes))
+    concepts = thesaurus.concepts
+    edges = set(thesaurus.subsumptions)
+    for i in range(2, len(concepts)):
+        edges.update((concepts[i], p) for p in rng.sample(concepts[1:i], rng.randint(0, 1)))
+    lines = [f"CONCEPT {c}" for c in (*concepts, "Stray")]
+    lines += [f"SUB {child} {parent}" for child, parent in sorted(edges)]
+    thesaurus = load_thesaurus("\n".join(lines))
+    return prepare_context(model, thesaurus), thesaurus

@@ -19,14 +19,13 @@ matches in the same order, or no match and ``NoUmlCandidateError``.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onco_rewriter.model import closure, load_thesaurus
+from onco_rewriter.model import closure
 from onco_rewriter.ontology import (
     HAS_ASSOCIATION,
     HAS_ATTRIBUTE,
@@ -50,10 +49,11 @@ from onco_rewriter.pipeline import (
 from onco_rewriter.reasoner import SubsumptionIndex, _decompose, association_reachable, classify
 from onco_rewriter.synthetic import (
     benchmark_model,
-    random_annotated_model,
     random_association_graph,
     random_el_axiom_set,
 )
+
+from conftest import random_context
 
 # --- reference implementation -------------------------------------------------
 
@@ -201,26 +201,6 @@ def test_classify_and_reachability_match_eager_tables(kind, seed):
                 assert got == eager_reachable(expected, source, target), (source, target)
         assert index.reach == {s: expected.reach[s] for s in sources[:done]}
 
-
-
-def random_context(rng: random.Random):
-    """A random annotated model with generalizations between its classes and
-    extra subsumptions between its concepts (both pointing only to earlier
-    names, so neither has a cycle), plus a concept outside the signature."""
-    model, thesaurus = random_annotated_model(rng)
-    classes = list(model.classes)
-    for i in range(1, len(classes)):
-        supers = rng.sample([c.name for c in classes[:i]], rng.randint(0, min(i, 2)))
-        classes[i] = replace(classes[i], superclasses=tuple(supers))
-    model = replace(model, classes=tuple(classes))
-    concepts = thesaurus.concepts
-    edges = set(thesaurus.subsumptions)
-    for i in range(2, len(concepts)):
-        edges.update((concepts[i], p) for p in rng.sample(concepts[1:i], rng.randint(0, 1)))
-    lines = [f"CONCEPT {c}" for c in (*concepts, "Stray")]
-    lines += [f"SUB {child} {parent}" for child, parent in sorted(edges)]
-    thesaurus = load_thesaurus("\n".join(lines))
-    return prepare_context(model, thesaurus), thesaurus
 
 
 def assert_uml_lookup_matches_pool_scan(index: SubsumptionIndex, names) -> None:
