@@ -263,16 +263,14 @@ def generate_ontology(model: UMLModel) -> AxiomSet:
     encoding, attribute classes with datatype restrictions, association
     properties, generalizations, and explicit copies of every inherited
     association and attribute restriction. Raises OntologyError, through
-    ``model_naming``, when two model elements generate one name.
+    ``model_naming``, when two model elements generate one name; that check
+    makes every axiom unique, so none needs a duplicate check here. Only a
+    superclass listed twice or a class that is its own ancestor would repeat
+    one, and both are skipped.
     """
     model_naming(model)
     axioms: list[Axiom] = [TransitiveProperty(HAS_ASSOCIATION)]
-    seen: set[Axiom] = set(axioms)
-
-    def emit(axiom: Axiom) -> None:
-        if axiom not in seen:
-            seen.add(axiom)
-            axioms.append(axiom)
+    emit = axioms.append
 
     for cls in model.classes:
         c = Named(class_name(cls.name))
@@ -294,9 +292,11 @@ def generate_ontology(model: UMLModel) -> AxiomSet:
             emit(SubPropertyOf(prop, HAS_ASSOCIATION))
             emit(SubClassOf(c, Existential(prop, Named(class_name(assoc.target)))))
         # (d) generalizations plus explicit inherited restrictions
-        for sup in cls.superclasses:
+        for sup in dict.fromkeys(cls.superclasses):
             emit(SubClassOf(c, Named(class_name(sup))))
         for ancestor in model.ancestors(cls.name):
+            if ancestor == cls.name:
+                continue  # a class on a superclass cycle: its own restrictions came above
             for assoc in model.associations_from(ancestor):
                 prop = association_property_name(assoc.source, assoc.role_name, assoc.target)
                 emit(SubClassOf(c, Existential(prop, Named(class_name(assoc.target)))))

@@ -27,7 +27,7 @@ import itertools
 import math
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .cql import MAX_NESTING as CQL_MAX_NESTING
 from .cql import CqlAssociation, CqlAttribute, CqlGroup, CqlQuery, CqlTarget
@@ -394,8 +394,8 @@ class LazyProduct(Sequence):
 
     def __init__(self, choices: Sequence[Sequence], build: Callable[[tuple], object]):
         self.choices = choices
-        self._build = build
-        self.size = math.prod(len(options) for options in choices)
+        self.build = build
+        self.size = math.prod(map(len, choices))
 
     def __len__(self) -> int:
         return self.size
@@ -409,27 +409,20 @@ class LazyProduct(Sequence):
         for options in reversed(self.choices):
             position, digit = divmod(position, len(options))
             combo.append(options[digit])
-        return self._build(tuple(reversed(combo)))
+        return self.build(tuple(reversed(combo)))
 
     def __iter__(self):
-        return map(self._build, itertools.product(*self.choices))
+        return map(self.build, itertools.product(*self.choices))
 
 
-def extract_uml(ast: QueryNode, index: SubsumptionIndex) -> LazyProduct:
-    """Replace every concept reference by each UML class (or attribute class)
-    entailed to be subsumed by it; independent choices multiply out. Each
-    concept's matches are sorted, so the product comes ordered
-    lexicographically by the chosen names."""
-    occurrences: list[tuple[str, list[str]]] = []
+def _concept_refs(ast: QueryNode) -> list[tuple[ConceptRef, bool]]:
+    """Each concept reference in preorder, with whether it stands in an
+    attribute position: the occurrences ``extract_uml`` multiplies out."""
+    refs: list[tuple[ConceptRef, bool]] = []
 
     def collect(node: QueryNode, attribute_position: bool) -> None:
         if isinstance(node, ConceptRef):
-            kind = UML_ATTRIBUTE if attribute_position else UML_CLASS
-            subs = index.subclasses.get(f"n:{node.name}", ())
-            matches = sorted(x for x in subs if x.startswith("c:") and kind in index.subsumers[x])
-            if not matches:
-                raise NoUmlCandidateError(node.name)
-            occurrences.append((node.name, matches))
+            refs.append((node, attribute_position))
         elif isinstance(node, And):
             for item in node.items:
                 collect(item, attribute_position)
@@ -439,6 +432,22 @@ def extract_uml(ast: QueryNode, index: SubsumptionIndex) -> LazyProduct:
             collect(node.inner, True)
 
     collect(ast, False)
+    return refs
+
+
+def extract_uml(ast: QueryNode, index: SubsumptionIndex) -> LazyProduct:
+    """Replace every concept reference by each UML class (or attribute class)
+    entailed to be subsumed by it; independent choices multiply out. Each
+    concept's matches are sorted, so the product comes ordered
+    lexicographically by the chosen names."""
+    occurrences: list[tuple[str, list[str]]] = []
+    for ref, attribute_position in _concept_refs(ast):
+        kind = UML_ATTRIBUTE if attribute_position else UML_CLASS
+        subs = index.subclasses.get(f"n:{ref.name}", ())
+        matches = sorted(x for x in subs if x.startswith("c:") and kind in index.subsumers[x])
+        if not matches:
+            raise NoUmlCandidateError(ref.name)
+        occurrences.append((ref.name, matches))
 
     def rebuild(node: QueryNode, attribute_position: bool, chosen) -> QueryNode:
         if isinstance(node, ConceptRef):
@@ -601,28 +610,49 @@ def _context_attribute(node: QueryNode) -> str:
     raise PipelineError("validate", "attribute restriction without a resolved attribute class")
 
 
+def _relations(
+    node: QueryNode,
+    class_of: Callable[[QueryNode], object] = _context_class,
+    attribute_of: Callable[[QueryNode], object] = _context_attribute,
+) -> list[tuple[str, object, object]]:
+    """Each relation the query fixes between two of its concepts, in
+    validation order: ``("attribute", class, attribute)`` for an attribute
+    restriction and ``("association", source, target)`` for an association
+    restriction, a context's parts in order, each association's target
+    context walked right after it. The association relations, in this order,
+    are also the occurrences that path finding expands. ``class_of`` and
+    ``attribute_of`` name the concept of a class or attribute context; the
+    defaults name it by its resolved class."""
+    relations: list[tuple[str, object, object]] = []
+
+    def walk(node: QueryNode, cls: object) -> None:
+        for part in _parts(node):
+            if isinstance(part, HasAttributeSome):
+                relations.append(("attribute", cls, attribute_of(part.inner)))
+            elif isinstance(part, HasAssociationSome):
+                target = class_of(part.inner)
+                relations.append(("association", cls, target))
+                walk(part.inner, target)
+            elif isinstance(part, AssocStep):
+                walk(part.inner, class_of(part.inner))
+
+    walk(node, class_of(node))
+    return relations
+
+
+def _related(index: SubsumptionIndex, kind: str, source: str, target: str) -> bool:
+    """Whether one relation holds: the attribute belongs to its class, or the
+    association target is reachable from its source."""
+    if kind == "attribute":
+        return target in index.attribute_of.get(source, frozenset())
+    return association_reachable(index, source, target)
+
+
 def validate_semantics(stripped: QueryNode, index: SubsumptionIndex) -> ValidationOutcome:
     """Check that every attribute belongs to its class and every association
     target is reachable from its source."""
-    failures: list[tuple[str, str, str]] = []
-
-    def walk(node: QueryNode) -> None:
-        cls = _context_class(node)
-        for part in _parts(node):
-            if isinstance(part, HasAttributeSome):
-                attr = _context_attribute(part.inner)
-                if attr not in index.attribute_of.get(cls, frozenset()):
-                    failures.append(("attribute", cls, attr))
-            elif isinstance(part, HasAssociationSome):
-                target = _context_class(part.inner)
-                if not association_reachable(index, cls, target):
-                    failures.append(("association", cls, target))
-                walk(part.inner)
-            elif isinstance(part, AssocStep):
-                walk(part.inner)
-
-    walk(stripped)
-    return ValidationOutcome(ok=not failures, failures=tuple(failures))
+    failures = tuple(r for r in _relations(stripped) if not _related(index, *r))
+    return ValidationOutcome(ok=not failures, failures=failures)
 
 
 # --- property path finding ------------------------------------------------------
@@ -635,6 +665,25 @@ def _chain_from_path(path: AssociationPath, final_inner: QueryNode) -> QueryNode
     return node
 
 
+def _association_paths(
+    index: SubsumptionIndex,
+    pairs: list[tuple[str, str]],
+    max_nodes: int,
+    found: dict[tuple[str, str], list[AssociationPath]],
+) -> list[tuple[str, str, list[AssociationPath]]]:
+    """Each (source, target) of ``pairs`` with ``find_paths``' result for it,
+    memoised in ``found``; NoPathError at the first pair without a path."""
+    occurrences = []
+    for source, target in pairs:
+        paths = found.get((source, target))
+        if paths is None:
+            paths = found[source, target] = find_paths(index, source, target, max_nodes)
+        if not paths:
+            raise NoPathError(source, target)
+        occurrences.append((source, target, paths))
+    return occurrences
+
+
 def find_property_paths(
     stripped: QueryNode,
     index: SubsumptionIndex,
@@ -645,23 +694,9 @@ def find_property_paths(
     chain that realizes it; independent occurrences multiply out in the path
     order of the reasoner. ``found`` memoises ``find_paths`` per (source,
     target) across calls made with the same index and ``max_nodes``."""
-    occurrences: list[tuple[str, str, list[AssociationPath]]] = []
-    found = {} if found is None else found
-
-    def collect(node: QueryNode) -> None:
-        cls = _context_class(node)
-        for part in _parts(node):
-            if isinstance(part, HasAssociationSome):
-                target = _context_class(part.inner)
-                paths = found.get((cls, target))
-                if paths is None:
-                    paths = found[cls, target] = find_paths(index, cls, target, max_nodes)
-                if not paths:
-                    raise NoPathError(cls, target)
-                occurrences.append((cls, target, paths))
-                collect(part.inner)
-
-    collect(stripped)
+    relations = _relations(stripped)
+    pairs = [(source, target) for kind, source, target in relations if kind == "association"]
+    occurrences = _association_paths(index, pairs, max_nodes, {} if found is None else found)
 
     def rebuild(node: QueryNode, chosen) -> QueryNode:
         if isinstance(node, And):
@@ -689,7 +724,8 @@ def cql_depth(resolved: QueryNode, expansions: LazyProduct) -> int:
     ``expansions`` is ``find_property_paths``' result for ``resolved`` with
     its data values stripped; its occurrences come in preorder. Only path
     lengths vary between expansions, so the deepest one takes each
-    occurrence's longest path."""
+    occurrence's longest path. No class name is read, so the parsed query
+    gives the depth of each of its resolutions."""
     longest = (max(len(path.steps) for path in paths) for paths in expansions.choices)
 
     def height(node: QueryNode) -> int:
@@ -1038,92 +1074,172 @@ def prepare_context(model: UMLModel, thesaurus: Thesaurus) -> RewriteContext:
     )
 
 
+def _plan(
+    ast: QueryNode,
+    candidates: LazyProduct,
+    index: SubsumptionIndex,
+    options: RewriteOptions,
+    found: dict[tuple[str, str], list[AssociationPath]],
+    lap: Callable[[str], None],
+) -> tuple[list[tuple[str, ...]], list[tuple[Provenance, str]]]:
+    """The combinations of ``extract_uml``'s product worth building, in
+    product order, and the others with why each is dropped, building no
+    candidate. Only class names differ between candidates, so the query's
+    relations are read once, and each combination's validation failures,
+    missing path and expansion count come from tables holding each distinct
+    class pair once. Raises the last drop's error when every combination is
+    dropped, and CandidateLimitError (on the running expansion count) or
+    NestingLimitError at the first combination that trips it. ``lap(stage)``
+    closes each stage's share of the work."""
+    # a relation's ends as positions in a combination: the parser makes one
+    # node per concept occurrence
+    refs = [ref for ref, _ in _concept_refs(ast)]
+    position = {id(ref): i for i, ref in enumerate(refs)}
+    lap("umlExtract")
+
+    def occurrence(node: QueryNode) -> int:
+        (concept,) = [part for part in _parts(node) if isinstance(part, ConceptRef)]
+        return position[id(concept)]
+
+    relations = _relations(ast, occurrence, occurrence)
+    associations = [(i, j) for kind, i, j in relations if kind == "association"]
+    related: dict[tuple[str, str, str], bool] = {}
+
+    def rejection(combo: tuple[str, ...]) -> ValidationRejectedError | None:
+        failures = []
+        for kind, i, j in relations:
+            relation = (kind, combo[i], combo[j])
+            holds = related.get(relation)
+            if holds is None:
+                holds = related[relation] = _related(index, *relation)
+            if not holds:
+                failures.append(relation)
+        return ValidationRejectedError(tuple(failures)) if failures else None
+
+    # at most candidate_limit combinations: all are validated before any path
+    rejections = [rejection(combo) for combo in itertools.product(*candidates.choices)]
+    lap("validate")
+
+    survivors = []
+    dropped = []
+    planned = 0
+    last_error: PipelineError | None = None
+    for combo, error in zip(itertools.product(*candidates.choices), rejections):
+        if error is None:
+            pairs = [(combo[i], combo[j]) for i, j in associations]
+            try:
+                occurrences = _association_paths(index, pairs, options.max_nodes, found)
+            except NoPathError as no_path:
+                error = no_path
+        if error is not None:
+            concept_choices = tuple((ref.name, name) for ref, name in zip(refs, combo))
+            dropped.append((Provenance(concept_choices), str(error)))
+            last_error = error
+            continue
+        # the paths each occurrence may take; no expansion is built from them
+        expansions = LazyProduct([paths for _, _, paths in occurrences], tuple)
+        check_cql_nesting(ast, expansions, options.max_nodes)
+        planned += expansions.size
+        if planned > options.candidate_limit:
+            raise CandidateLimitError("pathFind", planned, options.candidate_limit)
+        survivors.append(combo)
+    lap("pathFind")
+    if not survivors:
+        raise last_error
+    return survivors, dropped
+
+
 def rewrite_prepared(
     context: RewriteContext, text: str, options: RewriteOptions | None = None
 ) -> RewriteOutcome:
     """Run the eight rewriting stages over a prepared context, in two phases.
 
-    The plan runs valueExtract, validate and pathFind for every candidate
-    and counts the expansions, building none; the candidate limit is checked
-    on the running count. The build then runs valueReinsert, mcc and cql for
-    every expansion, or only for the first under ``selection="first"``. So a
-    later candidate's plan error (``CandidateLimitError``,
-    ``NestingLimitError``) is raised before an earlier candidate's build
-    error (``MccError``, an unresolvable binding); the build errors signal
-    broken internal invariants, not rejected input.
+    The plan (``_plan``) picks the UML candidates to build from per-pair
+    tables, building none, and checks the candidate limit on the running
+    expansion count. A lone candidate skips it: it is built whatever a plan
+    would find, and the build's own checks raise what the plan would have.
+
+    The build runs each stage for every surviving candidate before the next
+    stage: it resolves them and runs valueExtract, validate and pathFind,
+    then valueReinsert, mcc and cql for every expansion, or only for the
+    first under ``selection="first"``. So a later candidate's plan error
+    (``CandidateLimitError``, ``NestingLimitError``) is raised before an
+    earlier candidate's build error (``MccError``, an unresolvable binding);
+    the build errors signal broken internal invariants, not rejected input.
     """
     options = options or RewriteOptions()
     durations = {stage: 0.0 for stage in STAGES}
+    # process CPU clock: monotonic and immune to scheduler preemption, which
+    # would dwarf microsecond stages. One read ends a stage and starts the
+    # next, so each stage's time runs from the lap before it.
+    last = time.process_time_ns()
 
-    def timed(stage: str, fn, *args):
-        # process CPU clock: monotonic and immune to scheduler preemption,
-        # which would dwarf microsecond stages
-        start = time.process_time_ns()
-        result = fn(*args)
-        durations[stage] += (time.process_time_ns() - start) / 1000.0
-        return result
+    def lap(stage: str) -> None:
+        nonlocal last
+        now = time.process_time_ns()
+        durations[stage] += (now - last) / 1000.0
+        last = now
 
-    ast = timed("parse", parse_query, text)
-    candidates = timed("umlExtract", extract_uml, ast, context.index)
+    ast = parse_query(text)
+    lap("parse")
+    candidates = extract_uml(ast, context.index)
     if candidates.size > options.candidate_limit:
         raise CandidateLimitError("umlExtract", candidates.size, options.candidate_limit)
-    candidates = timed("umlExtract", list, candidates)
-
-    plans: list[tuple[CandidateQuery, QueryNode, list[ValueBinding], LazyProduct]] = []
-    planned = 0
     found: dict[tuple[str, str], list[AssociationPath]] = {}
-    dropped: list[tuple[Provenance, str]] = []
-    last_error: PipelineError | None = None
-    for candidate in candidates:
-        stripped, bindings = timed("valueExtract", extract_data_values, candidate.ast)
-        outcome = timed("validate", validate_semantics, stripped, context.index)
-        if not outcome.ok:
-            error = ValidationRejectedError(outcome.failures)
-            dropped.append((candidate.provenance, str(error)))
-            last_error = error
-            continue
-        try:
-            expansions = timed(
-                "pathFind", find_property_paths, stripped, context.index, options.max_nodes, found
-            )
-        except NoPathError as error:
-            dropped.append((candidate.provenance, str(error)))
-            last_error = error
-            continue
-        timed("pathFind", check_cql_nesting, candidate.ast, expansions, options.max_nodes)
-        planned += expansions.size
-        if planned > options.candidate_limit:
-            raise CandidateLimitError("pathFind", planned, options.candidate_limit)
-        plans.append((candidate, stripped, bindings, expansions))
+    if candidates.size > 1:
+        survivors, dropped = _plan(ast, candidates, context.index, options, found, lap)
+    else:  # a lone candidate is built whatever a plan would find
+        survivors, dropped = list(itertools.product(*candidates.choices)), []
 
-    if not plans:
-        if last_error is not None:
-            raise last_error
-        raise PipelineError("umlExtract", "query produced no candidates")
-
-    # every plan holds at least one expansion, so "first" builds one result
+    # every survivor has at least one expansion, so "first" builds one result
     first = options.selection == "first"
-    results: list[RewriteResult] = []
-    for candidate, stripped, bindings, expansions in plans[:1] if first else plans:
-        wanted = itertools.islice(expansions, 1 if first else None)
-        for expansion in timed("pathFind", list, wanted):
-            provenance = replace(
-                expansion.provenance, concept_choices=candidate.provenance.concept_choices
-            )
-            restored = timed("valueReinsert", reinsert_data_values, expansion.ast, bindings)
-            comprehension = timed("mcc", to_mcc, restored, context.naming)
-            cql_query = timed("cql", mcc_to_cql, comprehension, context.model)
-            results.append(
-                RewriteResult(
-                    cql=cql_query,
-                    provenance=provenance,
-                    resolved=candidate.ast,
-                    stripped=stripped,
-                    expanded=expansion.ast,
-                    restored=restored,
-                    mcc=comprehension,
-                )
-            )
+    built = [candidates.build(combo) for combo in (survivors[:1] if first else survivors)]
+    lap("umlExtract")
+    extracted = [extract_data_values(candidate.ast) for candidate in built]
+    lap("valueExtract")
+    # these checks raise only for a lone candidate: the plan passed the others
+    for stripped, _ in extracted:
+        outcome = validate_semantics(stripped, context.index)
+        if not outcome.ok:
+            raise ValidationRejectedError(outcome.failures)
+    lap("validate")
+    products = [
+        find_property_paths(stripped, context.index, options.max_nodes, found)
+        for stripped, _ in extracted
+    ]
+    for candidate, expansions in zip(built, products):
+        check_cql_nesting(candidate.ast, expansions, options.max_nodes)
+    planned = sum(expansions.size for expansions in products)
+    if planned > options.candidate_limit:
+        raise CandidateLimitError("pathFind", planned, options.candidate_limit)
+    jobs = [
+        (candidate, stripped, bindings, expansion)
+        for candidate, (stripped, bindings), expansions in zip(built, extracted, products)
+        for expansion in itertools.islice(expansions, 1 if first else None)
+    ]
+    lap("pathFind")
+    restored = [reinsert_data_values(expansion.ast, bindings) for *_, bindings, expansion in jobs]
+    lap("valueReinsert")
+    comprehensions = [to_mcc(tree, context.naming) for tree in restored]
+    lap("mcc")
+    queries = [mcc_to_cql(comprehension, context.model) for comprehension in comprehensions]
+    lap("cql")
+    results = [
+        RewriteResult(
+            cql=cql_query,
+            provenance=Provenance(
+                candidate.provenance.concept_choices, expansion.provenance.path_choices
+            ),
+            resolved=candidate.ast,
+            stripped=stripped,
+            expanded=expansion.ast,
+            restored=tree,
+            mcc=comprehension,
+        )
+        for (candidate, stripped, _, expansion), tree, comprehension, cql_query in zip(
+            jobs, restored, comprehensions, queries
+        )
+    ]
 
     if options.selection == "interactive" and len(results) > 1:
         chooser = options.chooser
