@@ -27,7 +27,7 @@ import itertools
 import math
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .cql import MAX_NESTING as CQL_MAX_NESTING
 from .cql import CqlAssociation, CqlAttribute, CqlGroup, CqlQuery, CqlTarget
@@ -395,7 +395,7 @@ class LazyProduct(Sequence):
     def __init__(self, choices: Sequence[Sequence], build: Callable[[tuple], object]):
         self.choices = choices
         self.build = build
-        self.size = math.prod(map(len, choices))
+        self.size = math.prod(len(options) for options in choices)
 
     def __len__(self) -> int:
         return self.size
@@ -415,14 +415,21 @@ class LazyProduct(Sequence):
         return map(self.build, itertools.product(*self.choices))
 
 
-def _concept_refs(ast: QueryNode) -> list[tuple[ConceptRef, bool]]:
-    """Each concept reference in preorder, with whether it stands in an
-    attribute position: the occurrences ``extract_uml`` multiplies out."""
-    refs: list[tuple[ConceptRef, bool]] = []
+def extract_uml(ast: QueryNode, index: SubsumptionIndex) -> LazyProduct:
+    """Replace every concept reference by each UML class (or attribute class)
+    entailed to be subsumed by it; independent choices multiply out. Each
+    concept's matches are sorted, so the product comes ordered
+    lexicographically by the chosen names."""
+    occurrences: list[tuple[str, list[str]]] = []
 
     def collect(node: QueryNode, attribute_position: bool) -> None:
         if isinstance(node, ConceptRef):
-            refs.append((node, attribute_position))
+            kind = UML_ATTRIBUTE if attribute_position else UML_CLASS
+            subs = index.subclasses.get(f"n:{node.name}", ())
+            matches = sorted(x for x in subs if x.startswith("c:") and kind in index.subsumers[x])
+            if not matches:
+                raise NoUmlCandidateError(node.name)
+            occurrences.append((node.name, matches))
         elif isinstance(node, And):
             for item in node.items:
                 collect(item, attribute_position)
@@ -432,22 +439,6 @@ def _concept_refs(ast: QueryNode) -> list[tuple[ConceptRef, bool]]:
             collect(node.inner, True)
 
     collect(ast, False)
-    return refs
-
-
-def extract_uml(ast: QueryNode, index: SubsumptionIndex) -> LazyProduct:
-    """Replace every concept reference by each UML class (or attribute class)
-    entailed to be subsumed by it; independent choices multiply out. Each
-    concept's matches are sorted, so the product comes ordered
-    lexicographically by the chosen names."""
-    occurrences: list[tuple[str, list[str]]] = []
-    for ref, attribute_position in _concept_refs(ast):
-        kind = UML_ATTRIBUTE if attribute_position else UML_CLASS
-        subs = index.subclasses.get(f"n:{ref.name}", ())
-        matches = sorted(x for x in subs if x.startswith("c:") and kind in index.subsumers[x])
-        if not matches:
-            raise NoUmlCandidateError(ref.name)
-        occurrences.append((ref.name, matches))
 
     def rebuild(node: QueryNode, attribute_position: bool, chosen) -> QueryNode:
         if isinstance(node, ConceptRef):
@@ -610,33 +601,27 @@ def _context_attribute(node: QueryNode) -> str:
     raise PipelineError("validate", "attribute restriction without a resolved attribute class")
 
 
-def _relations(
-    node: QueryNode,
-    class_of: Callable[[QueryNode], object] = _context_class,
-    attribute_of: Callable[[QueryNode], object] = _context_attribute,
-) -> list[tuple[str, object, object]]:
-    """Each relation the query fixes between two of its concepts, in
+def _relations(node: QueryNode) -> list[tuple[str, str, str]]:
+    """Each relation the query fixes between two of its classes, in
     validation order: ``("attribute", class, attribute)`` for an attribute
     restriction and ``("association", source, target)`` for an association
     restriction, a context's parts in order, each association's target
     context walked right after it. The association relations, in this order,
-    are also the occurrences that path finding expands. ``class_of`` and
-    ``attribute_of`` name the concept of a class or attribute context; the
-    defaults name it by its resolved class."""
-    relations: list[tuple[str, object, object]] = []
+    are also the occurrences that path finding expands."""
+    relations: list[tuple[str, str, str]] = []
 
-    def walk(node: QueryNode, cls: object) -> None:
+    def walk(node: QueryNode, cls: str) -> None:
         for part in _parts(node):
             if isinstance(part, HasAttributeSome):
-                relations.append(("attribute", cls, attribute_of(part.inner)))
+                relations.append(("attribute", cls, _context_attribute(part.inner)))
             elif isinstance(part, HasAssociationSome):
-                target = class_of(part.inner)
+                target = _context_class(part.inner)
                 relations.append(("association", cls, target))
                 walk(part.inner, target)
             elif isinstance(part, AssocStep):
-                walk(part.inner, class_of(part.inner))
+                walk(part.inner, _context_class(part.inner))
 
-    walk(node, class_of(node))
+    walk(node, _context_class(node))
     return relations
 
 
@@ -1080,7 +1065,7 @@ def _plan(
     index: SubsumptionIndex,
     options: RewriteOptions,
     found: dict[tuple[str, str], list[AssociationPath]],
-    lap: Callable[[str], None],
+    timed: Callable,
 ) -> tuple[list[tuple[str, ...]], list[tuple[Provenance, str]]]:
     """The combinations of ``extract_uml``'s product worth building, in
     product order, and the others with why each is dropped, building no
@@ -1089,64 +1074,64 @@ def _plan(
     missing path and expansion count come from tables holding each distinct
     class pair once. Raises the last drop's error when every combination is
     dropped, and CandidateLimitError (on the running expansion count) or
-    NestingLimitError at the first combination that trips it. ``lap(stage)``
-    closes each stage's share of the work."""
-    # a relation's ends as positions in a combination: the parser makes one
-    # node per concept occurrence
-    refs = [ref for ref, _ in _concept_refs(ast)]
-    position = {id(ref): i for i, ref in enumerate(refs)}
-    lap("umlExtract")
-
-    def occurrence(node: QueryNode) -> int:
-        (concept,) = [part for part in _parts(node) if isinstance(part, ConceptRef)]
-        return position[id(concept)]
-
-    relations = _relations(ast, occurrence, occurrence)
-    associations = [(i, j) for kind, i, j in relations if kind == "association"]
+    NestingLimitError at the first combination that trips it."""
+    # at most candidate_limit combinations: all are validated before any path
+    combos = list(itertools.product(*candidates.choices))
     related: dict[tuple[str, str, str], bool] = {}
 
-    def rejection(combo: tuple[str, ...]) -> ValidationRejectedError | None:
-        failures = []
-        for kind, i, j in relations:
-            relation = (kind, combo[i], combo[j])
-            holds = related.get(relation)
-            if holds is None:
-                holds = related[relation] = _related(index, *relation)
-            if not holds:
-                failures.append(relation)
-        return ValidationRejectedError(tuple(failures)) if failures else None
+    def validate() -> tuple[CandidateQuery, list[tuple[str, str, str]], list[list]]:
+        # resolving each concept occurrence to its own position gives the
+        # query's relations as pairs of positions in a combination
+        template = candidates.build(tuple(range(len(candidates.choices))))
+        relations = _relations(template.ast)
+        rejected = []
+        for combo in combos:
+            failures = []
+            for kind, i, j in relations:
+                relation = (kind, combo[i], combo[j])
+                holds = related.get(relation)
+                if holds is None:
+                    holds = related[relation] = _related(index, *relation)
+                if not holds:
+                    failures.append(relation)
+            rejected.append(failures)
+        return template, relations, rejected
 
-    # at most candidate_limit combinations: all are validated before any path
-    rejections = [rejection(combo) for combo in itertools.product(*candidates.choices)]
-    lap("validate")
+    template, relations, rejected = timed("validate", validate)
+    concepts = [concept for concept, _ in template.provenance.concept_choices]
+    associations = [(i, j) for kind, i, j in relations if kind == "association"]
 
-    survivors = []
-    dropped = []
-    planned = 0
-    last_error: PipelineError | None = None
-    for combo, error in zip(itertools.product(*candidates.choices), rejections):
-        if error is None:
-            pairs = [(combo[i], combo[j]) for i, j in associations]
-            try:
-                occurrences = _association_paths(index, pairs, options.max_nodes, found)
-            except NoPathError as no_path:
-                error = no_path
-        if error is not None:
-            concept_choices = tuple((ref.name, name) for ref, name in zip(refs, combo))
-            dropped.append((Provenance(concept_choices), str(error)))
-            last_error = error
-            continue
-        # the paths each occurrence may take; no expansion is built from them
-        expansions = LazyProduct([paths for _, _, paths in occurrences], tuple)
-        check_cql_nesting(ast, expansions, options.max_nodes)
-        planned += expansions.size
-        if planned > options.candidate_limit:
-            raise CandidateLimitError("pathFind", planned, options.candidate_limit)
-        survivors.append(combo)
-    lap("pathFind")
-    if not survivors:
-        raise last_error
-    return survivors, dropped
+    def settle() -> tuple[list[tuple[str, ...]], list[tuple[Provenance, str]]]:
+        survivors = []
+        dropped = []
+        planned = 0
+        last_error: PipelineError | None = None
+        for combo, failures in zip(combos, rejected):
+            error: PipelineError | None = None
+            if failures:
+                error = ValidationRejectedError(tuple(failures))
+            else:
+                pairs = [(combo[i], combo[j]) for i, j in associations]
+                try:
+                    occurrences = _association_paths(index, pairs, options.max_nodes, found)
+                except NoPathError as no_path:
+                    error = no_path
+            if error is not None:
+                dropped.append((Provenance(tuple(zip(concepts, combo))), str(error)))
+                last_error = error
+                continue
+            # the paths each occurrence may take; no expansion is built from them
+            expansions = LazyProduct([paths for *_, paths in occurrences], tuple)
+            check_cql_nesting(ast, expansions, options.max_nodes)
+            planned += expansions.size
+            if planned > options.candidate_limit:
+                raise CandidateLimitError("pathFind", planned, options.candidate_limit)
+            survivors.append(combo)
+        if not survivors:
+            raise last_error
+        return survivors, dropped
+
+    return timed("pathFind", settle)
 
 
 def rewrite_prepared(
@@ -1154,92 +1139,83 @@ def rewrite_prepared(
 ) -> RewriteOutcome:
     """Run the eight rewriting stages over a prepared context, in two phases.
 
-    The plan (``_plan``) picks the UML candidates to build from per-pair
-    tables, building none, and checks the candidate limit on the running
-    expansion count. A lone candidate skips it: it is built whatever a plan
-    would find, and the build's own checks raise what the plan would have.
-
-    The build runs each stage for every surviving candidate before the next
-    stage: it resolves them and runs valueExtract, validate and pathFind,
-    then valueReinsert, mcc and cql for every expansion, or only for the
-    first under ``selection="first"``. So a later candidate's plan error
+    The plan checks every UML candidate and counts the expansions, building
+    none; the candidate limit is checked on the running count. With several
+    candidates, ``_plan`` checks each from per-pair tables, and only the
+    survivors are resolved and run through valueExtract and pathFind. A lone
+    candidate shares no pair with another, so it is resolved and checked
+    directly: valueExtract, validate, pathFind. The build then runs
+    valueReinsert, mcc and cql for every expansion, or only for the first
+    under ``selection="first"``. So a later candidate's plan error
     (``CandidateLimitError``, ``NestingLimitError``) is raised before an
     earlier candidate's build error (``MccError``, an unresolvable binding);
     the build errors signal broken internal invariants, not rejected input.
     """
     options = options or RewriteOptions()
     durations = {stage: 0.0 for stage in STAGES}
-    # process CPU clock: monotonic and immune to scheduler preemption, which
-    # would dwarf microsecond stages. One read ends a stage and starts the
-    # next, so each stage's time runs from the lap before it.
-    last = time.process_time_ns()
 
-    def lap(stage: str) -> None:
-        nonlocal last
-        now = time.process_time_ns()
-        durations[stage] += (now - last) / 1000.0
-        last = now
+    def timed(stage: str, fn, *args):
+        # process CPU clock: monotonic and immune to scheduler preemption,
+        # which would dwarf microsecond stages
+        start = time.process_time_ns()
+        result = fn(*args)
+        durations[stage] += (time.process_time_ns() - start) / 1000.0
+        return result
 
-    ast = parse_query(text)
-    lap("parse")
-    candidates = extract_uml(ast, context.index)
+    ast = timed("parse", parse_query, text)
+    candidates = timed("umlExtract", extract_uml, ast, context.index)
     if candidates.size > options.candidate_limit:
         raise CandidateLimitError("umlExtract", candidates.size, options.candidate_limit)
-    found: dict[tuple[str, str], list[AssociationPath]] = {}
-    if candidates.size > 1:
-        survivors, dropped = _plan(ast, candidates, context.index, options, found, lap)
-    else:  # a lone candidate is built whatever a plan would find
-        survivors, dropped = list(itertools.product(*candidates.choices)), []
 
-    # every survivor has at least one expansion, so "first" builds one result
     first = options.selection == "first"
-    built = [candidates.build(combo) for combo in (survivors[:1] if first else survivors)]
-    lap("umlExtract")
-    extracted = [extract_data_values(candidate.ast) for candidate in built]
-    lap("valueExtract")
-    # these checks raise only for a lone candidate: the plan passed the others
-    for stripped, _ in extracted:
-        outcome = validate_semantics(stripped, context.index)
+    plans: list[tuple[CandidateQuery, QueryNode, list[ValueBinding], LazyProduct]] = []
+    found: dict[tuple[str, str], list[AssociationPath]] = {}
+    dropped: list[tuple[Provenance, str]] = []
+    if candidates.size > 1:
+        survivors, dropped = _plan(ast, candidates, context.index, options, found, timed)
+        # every survivor has at least one expansion, so "first" builds one
+        built = timed("umlExtract", list, map(candidates.build, survivors[: 1 if first else None]))
+        for candidate in built:
+            stripped, bindings = timed("valueExtract", extract_data_values, candidate.ast)
+            expansions = timed(
+                "pathFind", find_property_paths, stripped, context.index, options.max_nodes, found
+            )
+            plans.append((candidate, stripped, bindings, expansions))
+    else:
+        (candidate,) = timed("umlExtract", list, candidates)
+        stripped, bindings = timed("valueExtract", extract_data_values, candidate.ast)
+        outcome = timed("validate", validate_semantics, stripped, context.index)
         if not outcome.ok:
             raise ValidationRejectedError(outcome.failures)
-    lap("validate")
-    products = [
-        find_property_paths(stripped, context.index, options.max_nodes, found)
-        for stripped, _ in extracted
-    ]
-    for candidate, expansions in zip(built, products):
-        check_cql_nesting(candidate.ast, expansions, options.max_nodes)
-    planned = sum(expansions.size for expansions in products)
-    if planned > options.candidate_limit:
-        raise CandidateLimitError("pathFind", planned, options.candidate_limit)
-    jobs = [
-        (candidate, stripped, bindings, expansion)
-        for candidate, (stripped, bindings), expansions in zip(built, extracted, products)
-        for expansion in itertools.islice(expansions, 1 if first else None)
-    ]
-    lap("pathFind")
-    restored = [reinsert_data_values(expansion.ast, bindings) for *_, bindings, expansion in jobs]
-    lap("valueReinsert")
-    comprehensions = [to_mcc(tree, context.naming) for tree in restored]
-    lap("mcc")
-    queries = [mcc_to_cql(comprehension, context.model) for comprehension in comprehensions]
-    lap("cql")
-    results = [
-        RewriteResult(
-            cql=cql_query,
-            provenance=Provenance(
-                candidate.provenance.concept_choices, expansion.provenance.path_choices
-            ),
-            resolved=candidate.ast,
-            stripped=stripped,
-            expanded=expansion.ast,
-            restored=tree,
-            mcc=comprehension,
+        expansions = timed(
+            "pathFind", find_property_paths, stripped, context.index, options.max_nodes, found
         )
-        for (candidate, stripped, _, expansion), tree, comprehension, cql_query in zip(
-            jobs, restored, comprehensions, queries
-        )
-    ]
+        timed("pathFind", check_cql_nesting, candidate.ast, expansions, options.max_nodes)
+        if expansions.size > options.candidate_limit:
+            raise CandidateLimitError("pathFind", expansions.size, options.candidate_limit)
+        plans.append((candidate, stripped, bindings, expansions))
+
+    results: list[RewriteResult] = []
+    for candidate, stripped, bindings, expansions in plans:
+        wanted = itertools.islice(expansions, 1 if first else None)
+        for expansion in timed("pathFind", list, wanted):
+            provenance = replace(
+                expansion.provenance, concept_choices=candidate.provenance.concept_choices
+            )
+            restored = timed("valueReinsert", reinsert_data_values, expansion.ast, bindings)
+            comprehension = timed("mcc", to_mcc, restored, context.naming)
+            cql_query = timed("cql", mcc_to_cql, comprehension, context.model)
+            results.append(
+                RewriteResult(
+                    cql=cql_query,
+                    provenance=provenance,
+                    resolved=candidate.ast,
+                    stripped=stripped,
+                    expanded=expansion.ast,
+                    restored=restored,
+                    mcc=comprehension,
+                )
+            )
 
     if options.selection == "interactive" and len(results) > 1:
         chooser = options.chooser

@@ -1,25 +1,18 @@
-"""The factored plan against the driver it replaces.
+"""What the factored plan does besides giving the earlier driver's outputs
+(``tests/test_plan_then_build.py`` holds that differential test).
 
-The reference below copies the earlier ``rewrite_prepared``, which resolved
-every UML candidate and ran ``extract_data_values``, ``validate_semantics``
-and ``find_property_paths`` on each before building any result. The plan
-now reads each candidate's checks from tables holding each distinct class
+The plan checks every UML candidate from tables holding each distinct class
 pair once and resolves only the candidates that survive; a lone candidate
-skips the plan and is checked as it is built. On random prepared
-contexts and queries, at several candidate limits and node budgets (one
-large enough that every query with an association takes the nesting
-check's walk) and under every selection, both must give equal results,
-the same dropped list, or an error of the same class, stage and text.
-
-Also here: the number of candidates the driver resolves, the fact that
-makes resolving only survivors safe (``extract_data_values`` never rejects
-a resolution of a parsed query), and ``generate_ontology`` against the
-earlier version that deduplicated every axiom through a set.
+skips it and is checked as it is built. Pinned here: the number of
+candidates the driver resolves, the fact that makes resolving only survivors
+safe (``extract_data_values`` never rejects a resolution of a parsed query),
+the order of a nesting error and a later limit error, and the nesting bound
+on a lone candidate. Also here: ``generate_ontology`` against the earlier
+version that deduplicated every axiom through a set.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 from dataclasses import replace
@@ -57,7 +50,6 @@ from onco_rewriter.ontology import (
 from onco_rewriter.pipeline import (
     CandidateLimitError,
     NestingLimitError,
-    PipelineError,
     QuerySyntaxError,
     RewriteOptions,
     ValidationRejectedError,
@@ -65,259 +57,23 @@ from onco_rewriter.pipeline import (
     rewrite_prepared,
 )
 from onco_rewriter.reasoner import SubsumptionIndex
-from onco_rewriter.synthetic import random_annotated_model, random_satisfiable_query
+from onco_rewriter.synthetic import random_annotated_model
 
-from conftest import random_context
-
-# --- reference implementation -------------------------------------------------
+# --- the plan --------------------------------------------------------------------
 
 
-def reference_rewrite_prepared(context, text, options=None):
-    options = options or RewriteOptions()
-    ast = P.parse_query(text)
-    candidates = P.extract_uml(ast, context.index)
-    if candidates.size > options.candidate_limit:
-        raise CandidateLimitError("umlExtract", candidates.size, options.candidate_limit)
-    candidates = list(candidates)
-
-    plans = []
-    planned = 0
-    found = {}
-    dropped = []
-    last_error = None
-    for candidate in candidates:
-        stripped, bindings = P.extract_data_values(candidate.ast)
-        outcome = P.validate_semantics(stripped, context.index)
-        if not outcome.ok:
-            error = P.ValidationRejectedError(outcome.failures)
-            dropped.append((candidate.provenance, str(error)))
-            last_error = error
-            continue
-        try:
-            expansions = P.find_property_paths(stripped, context.index, options.max_nodes, found)
-        except P.NoPathError as error:
-            dropped.append((candidate.provenance, str(error)))
-            last_error = error
-            continue
-        P.check_cql_nesting(candidate.ast, expansions, options.max_nodes)
-        planned += expansions.size
-        if planned > options.candidate_limit:
-            raise CandidateLimitError("pathFind", planned, options.candidate_limit)
-        plans.append((candidate, stripped, bindings, expansions))
-
-    if not plans:
-        if last_error is not None:
-            raise last_error
-        raise PipelineError("umlExtract", "query produced no candidates")
-
-    first = options.selection == "first"
-    results = []
-    for candidate, stripped, bindings, expansions in plans[:1] if first else plans:
-        for expansion in list(itertools.islice(expansions, 1 if first else None)):
-            provenance = replace(
-                expansion.provenance, concept_choices=candidate.provenance.concept_choices
-            )
-            restored = P.reinsert_data_values(expansion.ast, bindings)
-            comprehension = P.to_mcc(restored, context.naming)
-            cql_query = P.mcc_to_cql(comprehension, context.model)
-            results.append(
-                P.RewriteResult(
-                    cql=cql_query,
-                    provenance=provenance,
-                    resolved=candidate.ast,
-                    stripped=stripped,
-                    expanded=expansion.ast,
-                    restored=restored,
-                    mcc=comprehension,
-                )
-            )
-
-    if options.selection == "interactive" and len(results) > 1:
-        chooser = options.chooser
-        if chooser is None:
-            raise PipelineError("pathFind", "interactive selection requires a chooser")
-        summaries = [P._describe_result(r) for r in results]
-        choice = chooser(summaries)
-        if not 0 <= choice < len(results):
-            raise PipelineError("pathFind", f"selection {choice} out of range")
-        results = [results[choice]]
-
-    return P.RewriteOutcome(results=tuple(results), durations_us={}, dropped=tuple(dropped))
-
-
-def reference_generate_ontology(model):
-    model_naming(model)
-    axioms = [TransitiveProperty(HAS_ASSOCIATION)]
-    seen = set(axioms)
-
-    def emit(axiom):
-        if axiom not in seen:
-            seen.add(axiom)
-            axioms.append(axiom)
-
-    for cls in model.classes:
-        c = Named(class_name(cls.name))
-        emit(SubClassOf(c, Named(UML_CLASS)))
-        if cls.annotation is not None:
-            emit(SubClassOf(c, _annotation_expr(cls.annotation)))
-        for attr in cls.attributes:
-            a = Named(attribute_class_name(cls.name, attr.name))
-            emit(SubClassOf(a, Named(UML_ATTRIBUTE)))
-            emit(SubClassOf(a, DataExistential(HAS_VALUE, DATATYPE_MAP[attr.datatype])))
-            if attr.annotation is not None:
-                emit(SubClassOf(a, _annotation_expr(attr.annotation)))
-            emit(SubClassOf(c, Existential(HAS_ATTRIBUTE, a)))
-        for assoc in model.associations_from(cls.name):
-            prop = association_property_name(assoc.source, assoc.role_name, assoc.target)
-            emit(SubPropertyOf(prop, HAS_ASSOCIATION))
-            emit(SubClassOf(c, Existential(prop, Named(class_name(assoc.target)))))
-        for sup in cls.superclasses:
-            emit(SubClassOf(c, Named(class_name(sup))))
-        for ancestor in model.ancestors(cls.name):
-            for assoc in model.associations_from(ancestor):
-                prop = association_property_name(assoc.source, assoc.role_name, assoc.target)
-                emit(SubClassOf(c, Existential(prop, Named(class_name(assoc.target)))))
-            for attr in model.class_named(ancestor).attributes:
-                a = Named(attribute_class_name(ancestor, attr.name))
-                emit(SubClassOf(c, Existential(HAS_ATTRIBUTE, a)))
-
-    prefixes = dict(DEFAULT_PREFIXES)
-    prefixes["c"] = f"http://onco-rewriter.local/model/{model.project_name}#"
-    return AxiomSet(axioms=tuple(axioms), prefixes=prefixes)
-
-
-# --- the plan against the reference ---------------------------------------------
-
-
-def random_query(rng, thesaurus, depth=2):
-    """Random concepts, now and then one of the other kind or one already in
-    the query, with the class concept anywhere among its context's parts
-    (after an association restriction too), nested associations and
-    attribute restrictions with data values."""
-    concepts = thesaurus.concepts
-    attribute_concepts = [c for c in concepts if c.startswith("KA")] or list(concepts)
-    class_concepts = [c for c in concepts if not c.startswith("KA")]
-    used: list[str] = []
-
-    def concept(pool):
-        if used and rng.random() < 0.2:
-            name = rng.choice(used)
-        else:
-            name = rng.choice(concepts if rng.random() < 0.1 else pool)
-        used.append(name)
-        return name
-
-    def class_context(level):
-        parts = []
-        if rng.random() < 0.5:
-            values = [f'hasValue value "{rng.choice(["v1", "B%", "x_y"])}"'] * rng.randint(0, 2)
-            inner = [concept(attribute_concepts), *values]
-            rng.shuffle(inner)
-            parts.append(f"hasAttribute some ({' and '.join(inner)})")
-        if level:
-            for _ in range(rng.choice((0, 1, 1, 2))):
-                parts.append(f"hasAssociation some ({class_context(level - 1)})")
-        parts.insert(rng.randint(0, len(parts)), concept(class_concepts))
-        return " and ".join(parts)
-
-    return class_context(depth)
-
-
-def outcome_of(driver, context, text, options):
-    try:
-        outcome = driver(context, text, options)
-    except PipelineError as error:
-        return ("error", type(error).__name__, error.stage, str(error))
-    return ("ok", outcome.results, outcome.dropped)
-
-
-def last_choice(summaries):
-    return len(summaries) - 1
-
-
-# 300 nodes: any query with an association takes the nesting check's walk
-BUDGETS = (2, 16, 300)
-
-
-def every_option():
-    for limit in (1, 4, 64):
-        for max_nodes in BUDGETS:
-            for selection in ("all", "first", "interactive"):
-                yield RewriteOptions(
-                    max_nodes=max_nodes,
-                    candidate_limit=limit,
-                    selection=selection,
-                    chooser=last_choice,
-                )
-
-
-def random_case(seed):
-    rng = random.Random(seed)
-    context, thesaurus = random_context(rng)
-    queries = [random_query(rng, thesaurus) for _ in range(3)]
-    queries.append(random_satisfiable_query(rng, context.model) or queries[0])
-    return context, queries
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_plan_matches_reference(seed):
-    context, queries = random_case(seed)
-    for text in queries:
-        for options in every_option():
-            expected = outcome_of(reference_rewrite_prepared, context, text, options)
-            assert outcome_of(rewrite_prepared, context, text, options) == expected, (
-                text,
-                options,
-            )
-
-
-def test_random_cases_reach_every_branch():
-    """The cases above succeed with candidates dropped at validate and at
-    pathFind, and fail at every stage the plan can fail at, both for
-    planned candidates and for a lone candidate, which skips the plan."""
-    seen = set()
-    for seed in range(40):
-        context, queries = random_case(seed)
-        for text in queries:
-            try:
-                lone = P.extract_uml(P.parse_query(text), context.index).size == 1
-            except PipelineError:
-                lone = None
-            for max_nodes in BUDGETS:
-                for limit in (1, 64):
-                    options = RewriteOptions(max_nodes=max_nodes, candidate_limit=limit)
-                    outcome = outcome_of(rewrite_prepared, context, text, options)
-                    if outcome[0] == "error":
-                        seen.add((lone, *outcome[1:3]))
-                    else:
-                        seen.update(("dropped", message.split()[0]) for _, message in outcome[2])
-    assert {
-        ("dropped", "query"),  # validate
-        ("dropped", "no"),  # pathFind
-        (None, "NoUmlCandidateError", "umlExtract"),
-        (False, "CandidateLimitError", "umlExtract"),
-    } <= seen
-    for lone in (False, True):
-        assert {
-            (lone, "ValidationRejectedError", "validate"),
-            (lone, "NoPathError", "pathFind"),
-            (lone, "CandidateLimitError", "pathFind"),
-        } <= seen
-
-
-def chain_context(length, lone, parallel=0):
-    """Class B annotated Both reaches T through a chain of ``length``
-    classes; unless ``lone``, class A, annotated Both too, reaches nothing,
-    and class C, annotated Both, reaches T by ``parallel`` roles."""
-    both = None if lone else {"primary": "Both", "qualifiers": []}
+def chain_context(length, parallel, lone=False):
+    """B, annotated Both, reaches T through a chain of ``length`` classes.
+    Unless ``lone``, A and C are annotated Both too: A reaches nothing, and C
+    reaches T by ``parallel`` roles."""
+    both = {"primary": "Both", "qualifiers": []}
     hops = ["B", *(f"X{i}" for i in range(length)), "T"]
     associations = [{"source": s, "roleName": "r", "target": t} for s, t in zip(hops, hops[1:])]
     associations += [{"source": "C", "roleName": f"r{k}", "target": "T"} for k in range(parallel)]
     classes = [
-        {"name": "A", "annotation": both},
-        {"name": "B", "annotation": {"primary": "Both", "qualifiers": []}},
-        {"name": "C", "annotation": both},
+        {"name": "A", "annotation": None if lone else both},
+        {"name": "B", "annotation": both},
+        {"name": "C", "annotation": None if lone else both},
         {"name": "T", "annotation": {"primary": "CT", "qualifiers": []}},
     ]
     classes += [{"name": f"X{i}"} for i in range(length)]
@@ -327,29 +83,30 @@ def chain_context(length, lone, parallel=0):
     return prepare_context(model, thesaurus)
 
 
-@pytest.mark.parametrize("lone", [False, True], ids=["planned", "lone"])
-@pytest.mark.parametrize("length, error", [(20, None), (260, NestingLimitError)])
-def test_nesting_branch_matches_reference(length, error, lone):
-    context = chain_context(length, lone)
-    query = "Both and hasAssociation some (CT)"
-    options = RewriteOptions(max_nodes=300)
-    expected = outcome_of(reference_rewrite_prepared, context, query, options)
-    assert outcome_of(rewrite_prepared, context, query, options) == expected
-    if error is None:
-        assert expected[0] == "ok" and len(expected[2]) == (0 if lone else 2)  # A, C dropped
-    else:
-        assert expected[1] == error.__name__
+QUERY = "Both and hasAssociation some (CT)"
 
 
 def test_nesting_error_wins_over_a_later_limit_error():
     """B nests too deep; C, after B, would then push the count past the
     limit. B's error comes first, as each candidate is planned in turn."""
-    context = chain_context(260, lone=False, parallel=3)
-    query = "Both and hasAssociation some (CT)"
     options = RewriteOptions(max_nodes=300, candidate_limit=3)
-    expected = outcome_of(reference_rewrite_prepared, context, query, options)
-    assert expected[1] == "NestingLimitError"
-    assert outcome_of(rewrite_prepared, context, query, options) == expected
+    with pytest.raises(NestingLimitError) as info:
+        rewrite_prepared(chain_context(260, parallel=3), QUERY, options)
+    assert info.value.stage == "pathFind"
+    # with B's chain short enough, C's paths trip the limit
+    with pytest.raises(CandidateLimitError, match="candidate count 4 exceeds limit 3"):
+        rewrite_prepared(chain_context(20, parallel=3), QUERY, options)
+
+
+def test_lone_candidate_meets_the_nesting_bound():
+    """A lone candidate skips the plan; the build checks the nesting bound
+    the plan would have checked."""
+    options = RewriteOptions(max_nodes=300)
+    with pytest.raises(NestingLimitError) as info:
+        rewrite_prepared(chain_context(260, 0, lone=True), QUERY, options)
+    assert info.value.stage == "pathFind"
+    outcome = rewrite_prepared(chain_context(20, 0, lone=True), QUERY, options)
+    assert len(outcome.results) == 1 and outcome.dropped == ()
 
 
 # --- work done ---------------------------------------------------------------------
@@ -384,17 +141,17 @@ def test_only_surviving_candidates_are_built(monkeypatch, mostly_failing):
     assert len(outcome.results) == 1
     assert len(outcome.dropped) == 9
     assert len(built) == 1  # the one survivor
-    # the plan checks each distinct class pair once; validate then checks
-    # the built survivor's one relation
-    assert len(reachable) == 10 + 1
+    # the plan checks each distinct class pair once, and the survivor is
+    # not validated again
+    assert len(reachable) == 10
 
-    # a pair twice in one candidate is checked once in the plan
+    # a pair twice in one candidate is checked once
     built.clear()
     reachable.clear()
     query = "Many and hasAssociation some (CT) and hasAssociation some (CT)"
     assert len(rewrite_prepared(mostly_failing, query).dropped) == 9
     assert len(built) == 1
-    assert len(reachable) == 10 + 2
+    assert len(reachable) == 10
 
     # every candidate fails: none is built
     built.clear()
@@ -408,11 +165,18 @@ def test_only_surviving_candidates_are_built(monkeypatch, mostly_failing):
     assert len(built) == 1
 
 
+def concept_names(node):
+    if isinstance(node, P.ConceptRef):
+        return {node.name}
+    children = node.items if isinstance(node, P.And) else (getattr(node, "inner", None),)
+    return set().union(*(concept_names(child) for child in children if child is not None))
+
+
 def permissive_index(ast):
     """An index in which every concept of ``ast`` subsumes one class that is
     both a UML class and a UML attribute class, so ``ast`` has exactly one
     resolution; the class names do not matter to the property below."""
-    names = {f"n:{ref.name}" for ref, _ in P._concept_refs(ast)}
+    names = {f"n:{name}" for name in concept_names(ast)}
     subsumers = {"c:X": frozenset({"c:X", UML_CLASS, UML_ATTRIBUTE, *names})}
     return SubsumptionIndex(subsumers=subsumers, attribute_of={}, assoc_edges={})
 
@@ -474,6 +238,47 @@ def test_value_extraction_accepts_every_parsed_query(text):
 
 
 # --- generate_ontology without a dedup set -------------------------------------------
+
+
+def reference_generate_ontology(model):
+    model_naming(model)
+    axioms = [TransitiveProperty(HAS_ASSOCIATION)]
+    seen = set(axioms)
+
+    def emit(axiom):
+        if axiom not in seen:
+            seen.add(axiom)
+            axioms.append(axiom)
+
+    for cls in model.classes:
+        c = Named(class_name(cls.name))
+        emit(SubClassOf(c, Named(UML_CLASS)))
+        if cls.annotation is not None:
+            emit(SubClassOf(c, _annotation_expr(cls.annotation)))
+        for attr in cls.attributes:
+            a = Named(attribute_class_name(cls.name, attr.name))
+            emit(SubClassOf(a, Named(UML_ATTRIBUTE)))
+            emit(SubClassOf(a, DataExistential(HAS_VALUE, DATATYPE_MAP[attr.datatype])))
+            if attr.annotation is not None:
+                emit(SubClassOf(a, _annotation_expr(attr.annotation)))
+            emit(SubClassOf(c, Existential(HAS_ATTRIBUTE, a)))
+        for assoc in model.associations_from(cls.name):
+            prop = association_property_name(assoc.source, assoc.role_name, assoc.target)
+            emit(SubPropertyOf(prop, HAS_ASSOCIATION))
+            emit(SubClassOf(c, Existential(prop, Named(class_name(assoc.target)))))
+        for sup in cls.superclasses:
+            emit(SubClassOf(c, Named(class_name(sup))))
+        for ancestor in model.ancestors(cls.name):
+            for assoc in model.associations_from(ancestor):
+                prop = association_property_name(assoc.source, assoc.role_name, assoc.target)
+                emit(SubClassOf(c, Existential(prop, Named(class_name(assoc.target)))))
+            for attr in model.class_named(ancestor).attributes:
+                a = Named(attribute_class_name(ancestor, attr.name))
+                emit(SubClassOf(c, Existential(HAS_ATTRIBUTE, a)))
+
+    prefixes = dict(DEFAULT_PREFIXES)
+    prefixes["c"] = f"http://onco-rewriter.local/model/{model.project_name}#"
+    return AxiomSet(axioms=tuple(axioms), prefixes=prefixes)
 
 
 def with_superclasses(rng, model):

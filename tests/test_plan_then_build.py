@@ -2,11 +2,14 @@
 
 The reference below copies the earlier ``rewrite_prepared``, which built
 every result of a candidate (valueReinsert, mcc, cql) before it ran pathFind
-for the next one, and the earlier ``_VarAllocator``, which probed for the
-first free suffix. On random prepared contexts and queries, at several
-candidate limits and node budgets and under every selection, the new driver
-must give equal results (CQL, provenance, every tree and the comprehension),
-the same dropped list, or an error of the same class, stage and text.
+for the next one, with the earlier ``validate_semantics`` and
+``find_property_paths``, each walking the resolved candidate itself, and the
+earlier ``_VarAllocator``, which probed for the first free suffix. On random
+prepared contexts and queries, at several candidate limits and node budgets
+(one large enough that every query with an association takes the nesting
+check's walk) and under every selection, the driver must give equal results
+(CQL, provenance, every tree and the comprehension), the same dropped list,
+or an error of the same class, stage and text.
 
 Two differences are deliberate and pinned here: a later candidate's plan
 error now wins over an earlier candidate's build error, and ``first`` builds
@@ -40,6 +43,7 @@ from onco_rewriter.pipeline import (
     prepare_context,
     rewrite_prepared,
 )
+from onco_rewriter.reasoner import association_reachable, find_paths
 from onco_rewriter.synthetic import random_satisfiable_query
 
 from conftest import FIXTURES, random_context
@@ -60,14 +64,16 @@ def reference_rewrite_prepared(context, text, options=None):
     last_error = None
     for candidate in candidates:
         stripped, bindings = P.extract_data_values(candidate.ast)
-        outcome = P.validate_semantics(stripped, context.index)
-        if not outcome.ok:
-            error = P.ValidationRejectedError(outcome.failures)
+        failures = reference_validate_semantics(stripped, context.index)
+        if failures:
+            error = P.ValidationRejectedError(failures)
             dropped.append((candidate.provenance, str(error)))
             last_error = error
             continue
         try:
-            expansions = P.find_property_paths(stripped, context.index, options.max_nodes)
+            expansions = reference_find_property_paths(
+                stripped, context.index, options.max_nodes
+            )
         except P.NoPathError as error:
             dropped.append((candidate.provenance, str(error)))
             last_error = error
@@ -116,6 +122,63 @@ def reference_rewrite_prepared(context, text, options=None):
     return P.RewriteOutcome(results=tuple(results), durations_us={}, dropped=tuple(dropped))
 
 
+def reference_validate_semantics(stripped, index):
+    failures = []
+
+    def walk(node):
+        cls = P._context_class(node)
+        for part in P._parts(node):
+            if isinstance(part, P.HasAttributeSome):
+                attr = P._context_attribute(part.inner)
+                if attr not in index.attribute_of.get(cls, frozenset()):
+                    failures.append(("attribute", cls, attr))
+            elif isinstance(part, P.HasAssociationSome):
+                target = P._context_class(part.inner)
+                if not association_reachable(index, cls, target):
+                    failures.append(("association", cls, target))
+                walk(part.inner)
+            elif isinstance(part, P.AssocStep):
+                walk(part.inner)
+
+    walk(stripped)
+    return tuple(failures)
+
+
+def reference_find_property_paths(stripped, index, max_nodes):
+    occurrences = []
+
+    def collect(node):
+        cls = P._context_class(node)
+        for part in P._parts(node):
+            if isinstance(part, P.HasAssociationSome):
+                target = P._context_class(part.inner)
+                paths = find_paths(index, cls, target, max_nodes)
+                if not paths:
+                    raise P.NoPathError(cls, target)
+                occurrences.append((cls, target, paths))
+                collect(part.inner)
+
+    collect(stripped)
+
+    def rebuild(node, chosen):
+        if isinstance(node, P.And):
+            return P.And(tuple(rebuild(i, chosen) for i in node.items))
+        if isinstance(node, P.HasAssociationSome):
+            return P._chain_from_path(next(chosen), rebuild(node.inner, chosen))
+        return node
+
+    def build(combo):
+        path_choices = tuple(
+            (source, target, path.properties)
+            for (source, target, _), path in zip(occurrences, combo)
+        )
+        return P.CandidateQuery(
+            ast=rebuild(stripped, iter(combo)), provenance=P.Provenance(path_choices=path_choices)
+        )
+
+    return P.LazyProduct([paths for _, _, paths in occurrences], build)
+
+
 def probe_loop_names(bases):
     used = set()
     names = []
@@ -135,25 +198,46 @@ def probe_loop_names(bases):
 
 
 def random_query(rng, thesaurus, depth=2):
-    """Concepts drawn at random, now and then one of the other kind, so
-    queries fail at umlExtract, validate and pathFind as well as succeed."""
+    """Concepts drawn at random, now and then one of the other kind or one
+    already in the query, so queries fail at umlExtract, validate and
+    pathFind as well as succeed. The class concept stands anywhere among its
+    context's parts, after an association restriction too; associations
+    nest, and data values stand anywhere around their attribute concept."""
     concepts = thesaurus.concepts
     attribute_concepts = [c for c in concepts if c.startswith("KA")] or list(concepts)
     class_concepts = [c for c in concepts if not c.startswith("KA")]
+    used: list[str] = []
+
+    def concept(pool):
+        if used and rng.random() < 0.2:
+            name = rng.choice(used)
+        else:
+            name = rng.choice(concepts if rng.random() < 0.1 else pool)
+        used.append(name)
+        return name
 
     def class_context(level):
-        parts = [rng.choice(concepts if rng.random() < 0.1 else class_concepts)]
+        parts = []
         if rng.random() < 0.5:
             values = [f'hasValue value "{rng.choice(["v1", "B%", "x_y"])}"'] * rng.randint(0, 2)
-            parts.append(
-                f"hasAttribute some ({' and '.join([rng.choice(attribute_concepts), *values])})"
-            )
+            inner = [concept(attribute_concepts), *values]
+            rng.shuffle(inner)
+            parts.append(f"hasAttribute some ({' and '.join(inner)})")
         if level:
             for _ in range(rng.choice((0, 1, 1, 2))):
                 parts.append(f"hasAssociation some ({class_context(level - 1)})")
+        parts.insert(rng.randint(0, len(parts)), concept(class_concepts))
         return " and ".join(parts)
 
     return class_context(depth)
+
+
+def random_case(seed):
+    rng = random.Random(seed)
+    context, thesaurus = random_context(rng)
+    queries = [random_query(rng, thesaurus) for _ in range(3)]
+    queries.append(random_satisfiable_query(rng, context.model) or queries[0])
+    return context, queries
 
 
 def outcome_of(driver, context, text, options):
@@ -168,16 +252,17 @@ def last_choice(summaries):
     return len(summaries) - 1
 
 
+# 300 nodes: any query with an association takes the nesting check's walk
+BUDGETS = (2, 16, 300)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_driver_matches_reference(seed):
-    rng = random.Random(seed)
-    context, thesaurus = random_context(rng)
-    queries = [random_query(rng, thesaurus) for _ in range(3)]
-    queries.append(random_satisfiable_query(rng, context.model) or queries[0])
+    context, queries = random_case(seed)
     for text in queries:
         for limit in (1, 4, 64):
-            for max_nodes in (2, 16):
+            for max_nodes in BUDGETS:
                 for selection in ("all", "first", "interactive"):
                     options = RewriteOptions(
                         max_nodes=max_nodes,
@@ -190,6 +275,41 @@ def test_driver_matches_reference(seed):
                         text,
                         options,
                     )
+
+
+def test_random_cases_reach_every_branch():
+    """The cases above succeed with candidates dropped at validate and at
+    pathFind, and fail at every stage a query can fail at, both when the
+    query has several candidates, which the plan checks, and when it has
+    one, which skips the plan and is checked as it is built."""
+    seen = set()
+    for seed in range(40):
+        context, queries = random_case(seed)
+        for text in queries:
+            try:
+                lone = P.extract_uml(P.parse_query(text), context.index).size == 1
+            except PipelineError:
+                lone = None
+            for max_nodes in BUDGETS:
+                for limit in (1, 64):
+                    options = RewriteOptions(max_nodes=max_nodes, candidate_limit=limit)
+                    outcome = outcome_of(rewrite_prepared, context, text, options)
+                    if outcome[0] == "error":
+                        seen.add((lone, *outcome[1:3]))
+                    else:
+                        seen.update(("dropped", message.split()[0]) for _, message in outcome[2])
+    assert {
+        ("dropped", "query"),  # validate
+        ("dropped", "no"),  # pathFind
+        (None, "NoUmlCandidateError", "umlExtract"),
+        (False, "CandidateLimitError", "umlExtract"),
+    } <= seen
+    for lone in (False, True):
+        assert {
+            (lone, "ValidationRejectedError", "validate"),
+            (lone, "NoPathError", "pathFind"),
+            (lone, "CandidateLimitError", "pathFind"),
+        } <= seen
 
 
 @given(st.lists(st.text(alphabet="aAbB1_ İß", max_size=3), max_size=40))
