@@ -152,7 +152,7 @@ def cmd_rewrite(args: argparse.Namespace) -> int:
         query_text = _read_text(args.queryfile, "query").strip()
     else:
         query_text = sys.stdin.read().strip()
-    if not query_text:
+    if not query_text.strip():
         print("error: empty query", file=sys.stderr)
         return EXIT_USAGE
     options = RewriteOptions(

@@ -61,6 +61,8 @@ def path_metrics(model: UMLModel, max_nodes: int = 16) -> PathMetrics:
     aggregate longest path, paths per journey, and nodes per path. The walk
     is depth-first: the edge iterator of the path's last node is a local,
     and the iterators of the nodes before it wait on an explicit stack."""
+    if max_nodes < 2:
+        raise ValueError("max_nodes must be at least 2")
     edges = association_edges(model)
     longest = 0
     path_count = 0

@@ -17,14 +17,19 @@ Query texts use a small class-expression grammar::
              | 'hasValue' 'value' STRING
              | '(' expr ')'
     primary := NAME | '(' expr ')'
+    NAME    := a letter or '_', then letters, digits or '_'
+    STRING  := '"' ... '"', with \\" and \\\\ as escapes; any other backslash is kept as written
 
-Names are thesaurus concept identifiers and keywords are case-sensitive.
+Letters and digits are what ``str.isalpha`` and ``str.isalnum`` accept, and
+whitespace is what ``str.isspace`` accepts. Names are thesaurus concept
+identifiers and keywords are case-sensitive.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
@@ -191,51 +196,37 @@ def _parts(node: QueryNode) -> tuple[QueryNode, ...]:
 _KEYWORDS = frozenset({"and", "some", "value", "hasAssociation", "hasAttribute", "hasValue"})
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # NAME, KEYWORD, STRING, LPAREN, RPAREN
-    text: str
-    position: int
+# Tried in order, the alternatives cover every character, so the scan reads the
+# whole text left to right: whitespace, a parenthesis, a string literal (its
+# closing group is empty when the text ends inside it), a word, any other one.
+_TOKEN = re.compile(r'(\s+)|([()])|"((?:[^"\\]|\\["\\]?)*)("?)|(\w+)|(.)', re.DOTALL)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "(":
-            tokens.append(_Token("LPAREN", "(", i + 1))
-            i += 1
-        elif ch == ")":
-            tokens.append(_Token("RPAREN", ")", i + 1))
-            i += 1
-        elif ch == '"':
-            start = i
-            i += 1
-            literal = []
-            while i < len(text) and text[i] != '"':
-                if text[i] == "\\" and i + 1 < len(text) and text[i + 1] in ('"', "\\"):
-                    literal.append(text[i + 1])
-                    i += 2
-                else:
-                    literal.append(text[i])
-                    i += 1
-            if i >= len(text):
-                raise QuerySyntaxError("unterminated string literal", start + 1)
-            i += 1
-            tokens.append(_Token("STRING", "".join(literal), start + 1))
-        elif ch.isalpha() or ch == "_":
-            start = i
-            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            kind = "KEYWORD" if word in _KEYWORDS else "NAME"
-            tokens.append(_Token(kind, word, start + 1))
-        else:
-            raise QuerySyntaxError(f"unexpected character '{ch}'", i + 1)
+def _unescape(body: str) -> str:
+    return re.sub(r'\\(["\\])', r"\1", body)
+
+
+def _quote(literal: str) -> str:
+    """The string literal that scans back to ``literal``: the inverse of ``_unescape``."""
+    return '"' + literal.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, 1-based position) tuples; kind is NAME, KEYWORD, STRING, "(" or ")"."""
+    tokens = []
+    for match in _TOKEN.finditer(text):
+        space, paren, body, closing, word, other = match.groups()
+        position = match.start() + 1
+        if paren:
+            tokens.append((paren, paren, position))
+        elif body is not None:
+            if not closing:
+                raise QuerySyntaxError("unterminated string literal", position)
+            tokens.append(("STRING", _unescape(body), position))
+        elif word and (word[0].isalpha() or word[0] == "_"):
+            tokens.append(("KEYWORD" if word in _KEYWORDS else "NAME", word, position))
+        elif not space:
+            raise QuerySyntaxError(f"unexpected character '{(word or other)[0]}'", position)
     return tokens
 
 
@@ -246,16 +237,16 @@ MAX_NESTING = 100
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], length: int):
+    def __init__(self, tokens: list[tuple[str, str, int]], length: int):
         self.tokens = tokens
         self.pos = 0
         self.end = length + 1
         self.depth = 0
 
-    def peek(self) -> _Token | None:
+    def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def take(self) -> _Token:
+    def take(self) -> tuple[str, str, int]:
         token = self.peek()
         if token is None:
             raise QuerySyntaxError("unexpected end of query", self.end)
@@ -263,13 +254,13 @@ class _Parser:
         return token
 
     def expect_keyword(self, word: str) -> None:
-        token = self.take()
-        if token.kind != "KEYWORD" or token.text != word:
-            raise QuerySyntaxError(f"expected '{word}', got '{token.text}'", token.position)
+        kind, text, position = self.take()
+        if kind != "KEYWORD" or text != word:
+            raise QuerySyntaxError(f"expected '{word}', got '{text}'", position)
 
     def at_keyword(self, word: str) -> bool:
         token = self.peek()
-        return token is not None and token.kind == "KEYWORD" and token.text == word
+        return token is not None and token[0] == "KEYWORD" and token[1] == word
 
     def parse_expr(self) -> QueryNode:
         terms = [self.parse_term()]
@@ -280,47 +271,41 @@ class _Parser:
 
     def parse_term(self) -> QueryNode:
         token = self.peek()
-        if token is None or token.kind != "KEYWORD":
+        if token is None or token[0] != "KEYWORD":
             return self.parse_primary()
-        if token.text in ("hasAssociation", "hasAttribute"):
-            self.take()
+        _, word, position = self.take()
+        if word in ("hasAssociation", "hasAttribute"):
             self.expect_keyword("some")
             inner = self.parse_primary()
-            if token.text == "hasAssociation":
+            if word == "hasAssociation":
                 return HasAssociationSome(inner)
             return HasAttributeSome(inner)
-        if token.text == "hasValue":
-            self.take()
+        if word == "hasValue":
             self.expect_keyword("value")
-            literal = self.take()
-            if literal.kind != "STRING":
-                raise QuerySyntaxError("expected a quoted string literal", literal.position)
-            return HasValueEquals(literal.text)
-        raise QuerySyntaxError(f"unexpected keyword '{token.text}'", token.position)
+            kind, literal, position = self.take()
+            if kind != "STRING":
+                raise QuerySyntaxError("expected a quoted string literal", position)
+            return HasValueEquals(literal)
+        raise QuerySyntaxError(f"unexpected keyword '{word}'", position)
 
     def parse_primary(self) -> QueryNode:
-        token = self.peek()
-        if token is None:
-            raise QuerySyntaxError("unexpected end of query", self.end)
-        if token.kind == "LPAREN":
+        kind, text, position = self.take()
+        if kind == "(":
             if self.depth == MAX_NESTING:
                 raise QuerySyntaxError(
-                    f"parentheses nested deeper than {MAX_NESTING} levels", token.position
+                    f"parentheses nested deeper than {MAX_NESTING} levels", position
                 )
-            self.take()
             self.depth += 1
             expr = self.parse_expr()
             self.depth -= 1
-            closing = self.take()
-            if closing.kind != "RPAREN":
-                raise QuerySyntaxError("expected ')'", closing.position)
+            kind, _, position = self.take()
+            if kind != ")":
+                raise QuerySyntaxError("expected ')'", position)
             return expr
-        if token.kind == "NAME":
-            self.take()
-            return ConceptRef(token.text)
+        if kind == "NAME":
+            return ConceptRef(text)
         raise QuerySyntaxError(
-            f"expected a concept name or parenthesized expression, got '{token.text}'",
-            token.position,
+            f"expected a concept name or parenthesized expression, got '{text}'", position
         )
 
 
@@ -364,7 +349,8 @@ def parse_query(text: str) -> QueryNode:
     expr = parser.parse_expr()
     trailing = parser.peek()
     if trailing is not None:
-        raise QuerySyntaxError(f"unexpected trailing input '{trailing.text}'", trailing.position)
+        _, text, position = trailing
+        raise QuerySyntaxError(f"unexpected trailing input '{text}'", position)
     _check_structure(expr)
     return expr
 
@@ -942,8 +928,7 @@ def format_query(node: QueryNode, naming: ModelNaming | None = None) -> str:
         if isinstance(n, (ConceptRef, UmlClassRef, UmlAttributeRef)):
             return n.name
         if isinstance(n, HasValueEquals):
-            escaped = n.literal.replace("\\", "\\\\").replace('"', '\\"')
-            return f'hasValue value "{escaped}"'
+            return f"hasValue value {_quote(n.literal)}"
         if isinstance(n, And):
             return " and ".join(fmt(i) for i in n.items)
         if isinstance(n, HasAssociationSome):
@@ -987,8 +972,8 @@ def format_comprehension(comprehension: MccComprehension) -> str:
             rendered.append(f"{qualifier.var} ← {qualifier.class_name}")
         else:
             op = {"EQUAL_TO": "=", "LIKE": "LIKE"}.get(qualifier.predicate, qualifier.predicate)
-            escaped = qualifier.literal.replace("\\", "\\\\").replace('"', '\\"')
-            rendered.append(f'{qualifier.var}.{qualifier.attribute_name} {op} "{escaped}"')
+            literal = _quote(qualifier.literal)
+            rendered.append(f"{qualifier.var}.{qualifier.attribute_name} {op} {literal}")
     body = ", ".join(rendered)
     acc = comprehension.monoid.accumulator
     return f"{acc}{{ {comprehension.head_var} ‖ {body} }}"

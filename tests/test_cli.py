@@ -140,6 +140,28 @@ def test_rewrite_query_file(tmp_path, capsys):
     assert "<ns1:CQLQuery" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("source", ["option", "file", "stdin"])
+def test_rewrite_blank_query_is_usage_error(source, tmp_path, monkeypatch, capsys):
+    blank = " \t\n"
+    argv = ["rewrite", "--model", MODEL, "--thesaurus", THESAURUS]
+    if source == "option":
+        argv += ["--query", blank]
+    elif source == "file":
+        query_file = tmp_path / "query.txt"
+        query_file.write_text(blank, encoding="utf-8")
+        argv.append(str(query_file))
+    else:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(blank))
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "error: empty query\n"
+
+
+def test_rewrite_query_option_positions_count_from_the_text_as_typed(capsys):
+    argv = ["rewrite", "--model", MODEL, "--thesaurus", THESAURUS, "--query", "  Gene Gene"]
+    assert run(argv) == 2
+    assert "(at position 8)" in capsys.readouterr().err
+
+
 def test_rewrite_unsatisfiable_exits_two_with_stage(capsys):
     code = run(
         [
@@ -264,6 +286,11 @@ def test_metrics_fixture_row(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "longest_path,journeys,paths,avg_paths_per_journey,avg_nodes_per_path,max_nodes"
     assert len(lines) == 2
+
+
+def test_metrics_node_budget_below_two_is_usage_error(capsys):
+    assert run(["metrics", "--model", MODEL, "--max-nodes", "1"]) == 1
+    assert capsys.readouterr().err == "error: max_nodes must be at least 2\n"
 
 
 def test_metrics_empty_model(tmp_path, capsys):

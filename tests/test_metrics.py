@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
 from onco_rewriter.metrics import (
     association_edges,
     path_metrics,
@@ -68,6 +70,13 @@ def assert_matches_oracle(model: UMLModel, max_nodes: int) -> None:
     assert metrics.path_count == expected["paths"]
     assert metrics.avg_paths_per_journey == expected["avg_paths"]
     assert metrics.avg_nodes_per_path == expected["avg_nodes"]
+
+
+def test_node_budget_below_two_is_rejected():
+    model = graph_model(["A", "B"], [("A", "ab", "B")])
+    for max_nodes in (1, 0):
+        with pytest.raises(ValueError, match="max_nodes must be at least 2"):
+            path_metrics(model, max_nodes)
 
 
 def test_three_cycle_hand_values():

@@ -85,7 +85,7 @@ def graph_models(draw) -> UMLModel:
 
 
 @settings(max_examples=300, deadline=None)
-@given(graph_models(), st.integers(1, 8))
+@given(graph_models(), st.integers(2, 8))
 def test_walk_matches_recursive_reference(model, max_nodes):
     assert path_metrics(model, max_nodes) == recursive_path_metrics(model, max_nodes)
 
