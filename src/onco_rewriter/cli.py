@@ -196,12 +196,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not queries:
         print("error: query suite is empty", file=sys.stderr)
         return EXIT_USAGE
-    report = stage_timings(
-        queries,
-        *_load(args),
-        repetitions=args.repetitions,
-        options=RewriteOptions(max_nodes=args.max_nodes),
-    )
+    options = RewriteOptions(max_nodes=args.max_nodes)
+    report = stage_timings(queries, *_load(args), repetitions=args.repetitions, options=options)
     render = render_timing_csv if args.format == "csv" else render_timing_table
     _emit(args, "bench", render(report))
     return EXIT_OK

@@ -134,21 +134,9 @@ class AxiomSet:
     def class_names(self) -> frozenset[str]:
         """Every name appearing in class position anywhere in the set."""
         names: set[str] = set()
-
-        def walk(expr: ClassExpr) -> None:
-            if isinstance(expr, Named):
-                names.add(expr.name)
-            elif isinstance(expr, Conjunction):
-                for part in expr.parts:
-                    walk(part)
-            elif isinstance(expr, Existential):
-                walk(expr.filler)
-            # DataExistential fillers are datatypes, not classes
-
-        for axiom in self.axioms:
-            if isinstance(axiom, SubClassOf):
-                walk(axiom.sub)
-                walk(axiom.sup)
+        ignored: list[str] = []  # this lists names, EL or not
+        for position, axiom in enumerate(self.axioms):
+            check_el_axiom(axiom, position, ignored, names)
         return frozenset(names)
 
 
@@ -312,38 +300,60 @@ def generate_ontology(model: UMLModel) -> AxiomSet:
 # --- EL conformance -------------------------------------------------------
 
 
+def check_el_axiom(
+    axiom: Axiom,
+    position: int,
+    violations: list[str],
+    names: set[str],
+    named: list[tuple[str, str]] | None = None,
+    restrictions: list[tuple[str, Existential]] | None = None,
+) -> None:
+    """The EL rules, in one place. Checks the axiom at ``position``, appending
+    each violation to ``violations`` and every name in class position to
+    ``names``. Given ``named`` and ``restrictions``, a subclass axiom whose
+    left-hand side is a name also has its right-hand side split into its
+    top-level conjuncts: ``(name, superclass)`` goes to ``named`` for each
+    named class and ``(name, restriction)`` to ``restrictions`` for each
+    existential restriction (a datatype restriction carries no class)."""
+    if isinstance(axiom, SubClassOf):
+        sub = axiom.sub
+        _check_el_expr(sub, position, violations, names)
+        if named is not None and isinstance(sub, Named):
+            _check_el_expr(axiom.sup, position, violations, names, sub.name, named, restrictions)
+        else:
+            _check_el_expr(axiom.sup, position, violations, names)
+    elif not isinstance(axiom, (SubPropertyOf, TransitiveProperty)):
+        violations.append(f"axiom {position}: unknown axiom kind {type(axiom).__name__}")
+
+
+def _check_el_expr(expr, position, violations, names, lhs=None, named=None, restrictions=None):
+    if isinstance(expr, Named):
+        names.add(expr.name)
+        if lhs is not None:
+            named.append((lhs, expr.name))
+    elif isinstance(expr, Conjunction):
+        if len(expr.parts) < 2:
+            violations.append(f"axiom {position}: conjunction with fewer than two parts")
+        for part in expr.parts:
+            _check_el_expr(part, position, violations, names, lhs, named, restrictions)
+    elif isinstance(expr, Existential):
+        _check_el_expr(expr.filler, position, violations, names)
+        if lhs is not None:
+            restrictions.append((lhs, expr))
+    elif isinstance(expr, DataExistential):
+        if expr.datatype not in DATATYPE_MAP.values():
+            violations.append(f"axiom {position}: unknown datatype '{expr.datatype}'")
+    else:
+        violations.append(f"axiom {position}: non-EL construct {type(expr).__name__}")
+
+
 def el_conformance_report(axiom_set: AxiomSet) -> list[str]:
     """Structural EL check. Returns a list of violations, empty when the set
     only uses named classes, conjunction and existential restriction."""
     violations: list[str] = []
-
-    def check_expr(expr, where: str) -> None:
-        if isinstance(expr, Named):
-            return
-        if isinstance(expr, Conjunction):
-            if len(expr.parts) < 2:
-                violations.append(f"{where}: conjunction with fewer than two parts")
-            for part in expr.parts:
-                check_expr(part, where)
-            return
-        if isinstance(expr, Existential):
-            check_expr(expr.filler, where)
-            return
-        if isinstance(expr, DataExistential):
-            if expr.datatype not in DATATYPE_MAP.values():
-                violations.append(f"{where}: unknown datatype '{expr.datatype}'")
-            return
-        violations.append(f"{where}: non-EL construct {type(expr).__name__}")
-
-    for i, axiom in enumerate(axiom_set.axioms):
-        where = f"axiom {i}"
-        if isinstance(axiom, SubClassOf):
-            check_expr(axiom.sub, where)
-            check_expr(axiom.sup, where)
-        elif isinstance(axiom, (SubPropertyOf, TransitiveProperty)):
-            continue
-        else:
-            violations.append(f"{where}: unknown axiom kind {type(axiom).__name__}")
+    names: set[str] = set()
+    for position, axiom in enumerate(axiom_set.axioms):
+        check_el_axiom(axiom, position, violations, names)
     return violations
 
 

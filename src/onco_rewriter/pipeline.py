@@ -989,6 +989,11 @@ class RewriteOptions:
     selection: str = "all"  # all | first | interactive
     chooser: object = None  # callable(list[str]) -> int, for interactive selection
 
+    def __post_init__(self):
+        # a path has at least two nodes; checked here so no stage runs on a budget no path fits
+        if self.max_nodes < 2:
+            raise ValueError("max_nodes must be at least 2")
+
 
 @dataclass(frozen=True)
 class RewriteContext:

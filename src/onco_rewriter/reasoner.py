@@ -3,9 +3,17 @@
 classify() computes three relations in polynomial time: the reflexive and
 transitively closed named subsumption, the attribute classes each class can
 reach through hasAttribute (inherited included), and the association edges
-each class carries (inherited included, ranges kept as declared).
-Transitive reachability over those edges is not precomputed: it is answered
-per source on the first query for that source and kept on the index.
+each class carries (inherited included, ranges kept as declared). It walks
+the axioms once, checking the EL rules as it collects the class names, the
+direct superclasses, the existential restrictions and the property
+hierarchy. Subsumption is then closed over the condensation of the
+direct-superclass graph in one depth-first pass (Tarjan's strongly connected
+components, each finished after every component it reaches), so the members
+of a cycle share one subsumer set. Edges and attributes are inherited only
+from the subsumers that carry some; a name that inherits none gets the one
+shared empty set. Transitive reachability over the edges is not
+precomputed: it is answered per source on the first query for that source
+and kept on the index.
 
 Association ranges stay verbatim on edges; widening a range to one of its
 superclasses is handled at the point of matching instead (a reachability or
@@ -36,14 +44,11 @@ from .ontology import (
     HAS_ASSOCIATION,
     HAS_ATTRIBUTE,
     AxiomSet,
-    Conjunction,
-    DataExistential,
     Existential,
     Named,
     SubClassOf,
     SubPropertyOf,
-    TransitiveProperty,
-    el_conformance_report,
+    check_el_axiom,
 )
 
 
@@ -120,81 +125,122 @@ class SubsumptionIndex:
         return dict(sources)
 
 
-def _decompose(lhs: str, expr, named_out, exist_out) -> None:
-    """Split a right-hand side into named subsumers and existential parts."""
-    if isinstance(expr, Named):
-        named_out.append((lhs, expr.name))
-    elif isinstance(expr, Conjunction):
-        for part in expr.parts:
-            _decompose(lhs, part, named_out, exist_out)
-    elif isinstance(expr, Existential):
-        exist_out.append((lhs, expr.property_name, expr.filler))
-    elif isinstance(expr, DataExistential):
-        pass  # datatype restrictions carry no class information
-    else:
-        raise ReasonerError(f"non-EL expression {type(expr).__name__}")
-
-
 def classify(axiom_set: AxiomSet) -> SubsumptionIndex:
-    """Saturate the axiom set into a SubsumptionIndex."""
-    violations = el_conformance_report(axiom_set)
+    """Saturate the axiom set into a SubsumptionIndex.
+
+    One walk over the axioms checks the EL rules (``check_el_axiom``),
+    collects the class names, splits the right-hand side of each subclass
+    axiom with a named left-hand side into direct superclasses and
+    existential restrictions, and records the property hierarchy. The first
+    EL violation anywhere is reported before any left-hand side that is not
+    a name. Named subsumption is then closed over the strongly connected
+    components of the direct-superclass graph (``_close``), cycles
+    permitted, and each name inherits the edges and attributes of those of
+    its subsumers that carry some.
+    """
+    violations: list[str] = []
+    names: set[str] = set()
+    named: list[tuple[str, str]] = []
+    restrictions: list[tuple[str, Existential]] = []
+    named_lhs = True
+    prop_children: defaultdict[str, list[str]] = defaultdict(list)
+    for position, axiom in enumerate(axiom_set.axioms):
+        check_el_axiom(axiom, position, violations, names, named, restrictions)
+        if isinstance(axiom, SubClassOf):
+            named_lhs = named_lhs and isinstance(axiom.sub, Named)
+        elif isinstance(axiom, SubPropertyOf):
+            prop_children[axiom.sup].append(axiom.sub)
     if violations:
         raise ReasonerError(f"non-EL axiom encountered: {violations[0]}")
+    if not named_lhs:
+        raise ReasonerError("subclass axioms must have a named left-hand side")
 
-    named_subs: list[tuple[str, str]] = []
-    existentials: list[tuple[str, str, object]] = []
-    prop_parents: dict[str, set[str]] = {}
-    names = axiom_set.class_names()
-
-    for axiom in axiom_set.axioms:
-        if isinstance(axiom, SubClassOf):
-            if not isinstance(axiom.sub, Named):
-                raise ReasonerError("subclass axioms must have a named left-hand side")
-            _decompose(axiom.sub.name, axiom.sup, named_subs, existentials)
-        elif isinstance(axiom, SubPropertyOf):
-            prop_parents.setdefault(axiom.sub, set()).add(axiom.sup)
-            prop_parents.setdefault(axiom.sup, set())
-        elif isinstance(axiom, TransitiveProperty):
-            prop_parents.setdefault(axiom.property_name, set())
-
-    # reflexive-transitive closure of the property hierarchy
-    prop_subsumers = {prop: set(closure([prop], prop_parents.__getitem__)) for prop in prop_parents}
-
-    def under_association(prop: str) -> bool:
-        return HAS_ASSOCIATION in prop_subsumers.get(prop, {prop})
-
-    # direct relations prior to closure
     direct_sup: defaultdict[str, set[str]] = defaultdict(set)
+    for sub, sup in named:
+        direct_sup[sub].add(sup)
+    # the properties whose reflexive-transitive superproperties include hasAssociation
+    associations = set(closure([HAS_ASSOCIATION], lambda prop: prop_children.get(prop, ())))
     direct_edges: defaultdict[str, set[tuple[str, str]]] = defaultdict(set)
     direct_attrs: defaultdict[str, set[str]] = defaultdict(set)
-    for sub, sup in named_subs:
-        direct_sup[sub].add(sup)
-    for lhs, prop, filler in existentials:
+    for lhs, restriction in restrictions:
+        filler = restriction.filler
         # compound fillers (noted qualifier lists) contribute no index entries
         if isinstance(filler, Named):
+            prop = restriction.property_name
             if prop == HAS_ATTRIBUTE:
                 direct_attrs[lhs].add(filler.name)
-            elif under_association(prop):
+            elif prop in associations:
                 direct_edges[lhs].add((prop, filler.name))
 
-    # reflexive-transitive closure of named subsumption (cycles permitted)
-    subsumers = {name: frozenset(closure([name], direct_sup.__getitem__)) for name in names}
+    subsumers = _close(names, direct_sup)
 
-    # inherit edges and attributes down the subsumption hierarchy
+    # inherit edges and attributes from the subsumers that carry some
+    carriers = direct_edges.keys() | direct_attrs.keys()
+    empty: frozenset = frozenset()
     assoc_edges: dict[str, frozenset[tuple[str, str]]] = {}
     attribute_of: dict[str, frozenset[str]] = {}
-    for name in names:
-        edges: set[tuple[str, str]] = set()
-        attrs: set[str] = set()
-        for sup in subsumers[name]:
-            edges.update(direct_edges.get(sup, ()))
-            attrs.update(direct_attrs.get(sup, ()))
-        assoc_edges[name] = frozenset(edges)
-        attribute_of[name] = frozenset(attrs)
+    for name, sups in subsumers.items():
+        carrying = sups & carriers
+        if carrying:
+            assoc_edges[name] = frozenset().union(*(direct_edges.get(c, ()) for c in carrying))
+            attribute_of[name] = frozenset().union(*(direct_attrs.get(c, ()) for c in carrying))
+        else:
+            assoc_edges[name] = attribute_of[name] = empty
 
     return SubsumptionIndex(
         subsumers=subsumers, attribute_of=attribute_of, assoc_edges=assoc_edges
     )
+
+
+def _close(names: set[str], direct_sup: dict[str, set[str]]) -> dict[str, frozenset[str]]:
+    """The reflexive-transitive closure of named subsumption (cycles
+    permitted), over the strongly connected components of the direct
+    superclass graph. Tarjan's depth-first walk finishes a component only
+    after every component it reaches, so a component's subsumers are its
+    members plus its direct superclasses' subsumers, and all its members
+    share one frozenset."""
+    subsumers = {name: frozenset((name,)) for name in names if name not in direct_sup}
+    low: dict[str, int] = {}  # the lowest walk number each visited name reaches
+    path: list[str] = []  # the names of unfinished components, in walk order
+    for root in direct_sup:
+        if root in low:
+            continue
+        # a frame: a name, its superclasses left to walk, its place on path, its walk number
+        work = [(root, iter(direct_sup[root]), len(path), len(low))]
+        low[root] = len(low)
+        path.append(root)
+        while work:
+            node, sups, at, number = work[-1]
+            for sup in sups:
+                if sup in subsumers:
+                    continue
+                seen = low.get(sup)
+                if seen is None:
+                    work.append((sup, iter(direct_sup[sup]), len(path), len(low)))
+                    low[sup] = len(low)
+                    path.append(sup)
+                    break
+                if seen < low[node]:
+                    low[node] = seen
+            else:
+                work.pop()
+                if low[node] < number:
+                    parent = work[-1][0]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
+                    continue
+                members = path[at:]
+                del path[at:]
+                closed = set(members)
+                for member in members:
+                    for sup in direct_sup[member]:
+                        # a name already in the set brings no new subsumer
+                        if sup not in closed:
+                            closed |= subsumers[sup]
+                shared = frozenset(closed)
+                for member in members:
+                    subsumers[member] = shared
+    return subsumers
 
 
 def _require_known(index: SubsumptionIndex, *names: str) -> None:

@@ -7,8 +7,16 @@ from pathlib import Path
 import pytest
 
 from onco_rewriter.model import load_model, load_thesaurus
+from onco_rewriter.ontology import (
+    HAS_ATTRIBUTE,
+    AxiomSet,
+    Conjunction,
+    Existential,
+    Named,
+    SubClassOf,
+)
 from onco_rewriter.pipeline import prepare_context
-from onco_rewriter.synthetic import random_annotated_model
+from onco_rewriter.synthetic import random_annotated_model, random_el_axiom_set
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -61,3 +69,19 @@ def random_context(rng: random.Random):
     lines += [f"SUB {child} {parent}" for child, parent in sorted(edges)]
     thesaurus = load_thesaurus("\n".join(lines))
     return prepare_context(model, thesaurus), thesaurus
+
+
+def el_with_extras(rng: random.Random) -> AxiomSet:
+    """A random EL axiom set plus attribute restrictions, which the EL
+    generator never makes, and existentials with compound fillers, whose
+    names become index keys but add no edge."""
+    base = random_el_axiom_set(rng, max_axioms=40)
+    pool = sorted(base.class_names()) + ["c:X0", "c:X1"]
+    extras = []
+    for _ in range(rng.randint(1, 6)):
+        lhs, a, b = (Named(rng.choice(pool)) for _ in range(3))
+        if rng.random() < 0.5:
+            extras.append(SubClassOf(lhs, Existential(HAS_ATTRIBUTE, a)))
+        else:
+            extras.append(SubClassOf(lhs, Existential("c:p0", Conjunction((a, b)))))
+    return AxiomSet(axioms=base.axioms + tuple(extras))

@@ -33,6 +33,7 @@ from onco_rewriter.ontology import (
     UML_CLASS,
     AxiomSet,
     Conjunction,
+    DataExistential,
     Existential,
     Named,
     SubClassOf,
@@ -46,14 +47,19 @@ from onco_rewriter.pipeline import (
     extract_uml,
     prepare_context,
 )
-from onco_rewriter.reasoner import SubsumptionIndex, _decompose, association_reachable, classify
+from onco_rewriter.reasoner import (
+    ReasonerError,
+    SubsumptionIndex,
+    association_reachable,
+    classify,
+)
 from onco_rewriter.synthetic import (
     benchmark_model,
     random_association_graph,
     random_el_axiom_set,
 )
 
-from conftest import random_context
+from conftest import el_with_extras, random_context
 
 # --- reference implementation -------------------------------------------------
 
@@ -63,6 +69,21 @@ class Tables(NamedTuple):
     attribute_of: dict[str, frozenset[str]]
     assoc_edges: dict[str, frozenset[tuple[str, str]]]
     reach: dict[str, frozenset[str]]
+
+
+def _decompose(lhs: str, expr, named_out, exist_out) -> None:
+    """Split a right-hand side into named subsumers and existential parts."""
+    if isinstance(expr, Named):
+        named_out.append((lhs, expr.name))
+    elif isinstance(expr, Conjunction):
+        for part in expr.parts:
+            _decompose(lhs, part, named_out, exist_out)
+    elif isinstance(expr, Existential):
+        exist_out.append((lhs, expr.property_name, expr.filler))
+    elif isinstance(expr, DataExistential):
+        pass  # datatype restrictions carry no class information
+    else:
+        raise ReasonerError(f"non-EL expression {type(expr).__name__}")
 
 
 def eager_classify(axiom_set: AxiomSet) -> Tables:
@@ -150,22 +171,6 @@ def pool_scan(index: SubsumptionIndex, name: str, attribute_position: bool) -> l
 
 
 # --- random inputs -----------------------------------------------------------
-
-
-def el_with_extras(rng: random.Random) -> AxiomSet:
-    """A random EL axiom set plus attribute restrictions, which the EL
-    generator never makes, and existentials with compound fillers, whose
-    names become index keys but add no edge."""
-    base = random_el_axiom_set(rng, max_axioms=40)
-    pool = sorted(base.class_names()) + ["c:X0", "c:X1"]
-    extras = []
-    for _ in range(rng.randint(1, 6)):
-        lhs, a, b = (Named(rng.choice(pool)) for _ in range(3))
-        if rng.random() < 0.5:
-            extras.append(SubClassOf(lhs, Existential(HAS_ATTRIBUTE, a)))
-        else:
-            extras.append(SubClassOf(lhs, Existential("c:p0", Conjunction((a, b)))))
-    return AxiomSet(axioms=base.axioms + tuple(extras))
 
 
 INPUTS = {

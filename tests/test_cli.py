@@ -293,6 +293,27 @@ def test_metrics_node_budget_below_two_is_usage_error(capsys):
     assert capsys.readouterr().err == "error: max_nodes must be at least 2\n"
 
 
+@pytest.mark.parametrize(
+    "query",
+    [
+        'Gene and hasAttribute some (Gene_Symbol and hasValue value "BRCA%")',
+        "Location and hasAssociation some (Chromosome)",
+    ],
+    ids=["no_path_search", "path_search"],
+)
+def test_rewrite_node_budget_below_two_is_usage_error(query, tmp_path, capsys):
+    argv = ["rewrite", "--model", MODEL, "--thesaurus", THESAURUS, "--max-nodes", "1"]
+    assert run([*argv, "--query", query, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr() == ("", "error: max_nodes must be at least 2\n")
+    assert not any(tmp_path.iterdir())
+
+
+def test_bench_node_budget_below_two_is_usage_error(capsys):
+    argv = ["bench", "--model", MODEL, "--thesaurus", THESAURUS, "--suite", SUITE]
+    assert run([*argv, "--max-nodes", "1"]) == 1
+    assert capsys.readouterr() == ("", "error: max_nodes must be at least 2\n")
+
+
 def test_metrics_empty_model(tmp_path, capsys):
     import json
 
