@@ -11,13 +11,16 @@ to ``http://CQL.caBIG/1/gov.nih.nci.cagrid.CQLQuery`` with ``ns1:Target``,
 ``ns1:Association``, ``ns1:Attribute``, ``ns1:Group`` and
 ``ns1:QueryModifier`` children. Serialization is byte-deterministic: LF line
 endings, one-space indentation per nesting level, attributes emitted in the
-order name, roleName, predicate, value.
+order name, roleName, predicate, value. One walk checks a query and writes
+it. Both sides bound nesting at ``MAX_NESTING`` elements under Target:
+``to_xml`` and ``validate_grammar`` report a deeper tree as a violation and
+``parse_xml`` rejects a deeper document.
 """
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 CQL_NAMESPACE = "http://CQL.caBIG/1/gov.nih.nci.cagrid.CQLQuery"
 
@@ -34,10 +37,11 @@ PREDICATES = (
 )
 VALUELESS_PREDICATES = ("IS_NULL", "IS_NOT_NULL")
 LOGICAL_OPS = ("AND", "OR")
-# the most elements parse_xml accepts nested under Target; to_xml and
-# validate_grammar recurse a few frames per level, so this keeps a parsed
-# query far from the interpreter's recursion limit
+# the most elements nested under Target that parse_xml reads and that to_xml
+# and validate_grammar accept; both sides recurse a frame or two per level,
+# so this keeps any query far from the interpreter's recursion limit
 MAX_NESTING = 256
+_TOO_DEEP = f"elements nested deeper than {MAX_NESTING} levels under Target"
 
 
 class CqlError(ValueError):
@@ -86,133 +90,114 @@ class CqlQuery:
     modifier: QueryModifier | None = None
 
 
-def validate_grammar(query: CqlQuery) -> list[str]:
-    """Check derivability from the CQL grammar. Empty report means valid."""
+# --- grammar check and XML encoding ----------------------------------------
+
+
+def _walk(query: CqlQuery) -> tuple[list[str], list[str]]:
+    """Check ``query`` against the CQL grammar and write its XML lines in one
+    pass; the lines are a document only when no violation is recorded."""
     violations: list[str] = []
-
-    def not_text(value, where: str, what: str) -> None:
-        violations.append(f"{where}: {what} must be a string, not {type(value).__name__}")
-
-    def check_attribute(attr: CqlAttribute, where: str) -> None:
-        if not isinstance(attr.name, str):
-            not_text(attr.name, where, "attribute name")
-        if not (attr.value is None or isinstance(attr.value, str)):
-            not_text(attr.value, where, "attribute value")
-        if not attr.name:
-            violations.append(f"{where}: attribute name must be non-empty")
-        if attr.predicate not in PREDICATES:
-            violations.append(f"{where}: unknown predicate '{attr.predicate}'")
-        elif attr.predicate in VALUELESS_PREDICATES:
-            if attr.value is not None:
-                violations.append(f"{where}: predicate {attr.predicate} takes no value")
-        elif attr.value is None:
-            violations.append(f"{where}: predicate {attr.predicate} requires a value")
-
-    def check_child(node, where: str) -> None:
-        if node is None:
-            return
-        if isinstance(node, CqlAttribute):
-            check_attribute(node, where)
-        elif isinstance(node, CqlAssociation):
-            if not isinstance(node.name, str):
-                not_text(node.name, where, "association name")
-            if not isinstance(node.role_name, str):
-                not_text(node.role_name, where, "association roleName")
-            if not node.name:
-                violations.append(f"{where}: association name must be non-empty")
-            if not node.role_name:
-                violations.append(f"{where}: association roleName must be non-empty")
-            check_child(node.child, f"{where}/Association")
-        elif isinstance(node, CqlGroup):
-            if node.logical_op not in LOGICAL_OPS:
-                violations.append(f"{where}: unknown logical operator '{node.logical_op}'")
-            if len(node.items) < 2:
-                violations.append(f"{where}: group must combine at least two constraints")
-            for item in node.items:
-                check_child(item, f"{where}/Group")
-        else:
-            violations.append(f"{where}: unexpected node {type(node).__name__}")
-
-    if not isinstance(query.target.name, str):
-        not_text(query.target.name, "Target", "name")
-    if not query.target.name:
-        violations.append("Target: name must be non-empty")
-    check_child(query.target.child, "Target")
-    if query.modifier is not None:
-        m = query.modifier
-        if m.distinct_attribute is None and not m.attribute_names:
-            violations.append("QueryModifier: at least one field must be populated")
-        if not (m.distinct_attribute is None or isinstance(m.distinct_attribute, str)):
-            not_text(m.distinct_attribute, "QueryModifier", "distinctAttribute")
-        for name in m.attribute_names:
-            if not isinstance(name, str):
-                not_text(name, "QueryModifier", "attribute name")
-    return violations
-
-
-# --- XML encoding ---------------------------------------------------------
-
-
-def _escape(value: str) -> str:
-    return (
-        value.replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-        .replace('"', "&quot;")
-        .replace("\n", "&#10;")
-        .replace("\t", "&#9;")
-        .replace("\r", "&#13;")
-    )
-
-
-def to_xml(query: CqlQuery) -> str:
-    """Serialize to the canonical CQL XML document."""
-    violations = validate_grammar(query)
-    if violations:
-        raise CqlError("invalid query AST: " + "; ".join(violations))
-
     lines: list[str] = [f'<ns1:CQLQuery xmlns:ns1="{CQL_NAMESPACE}">']
 
-    def element(head: str, children: tuple, depth: int, tag: str) -> None:
-        """Self-close when there are no children."""
+    def text(value, where: str, what: str) -> str:
+        if not isinstance(value, str):
+            violations.append(f"{where}: {what} must be a string, not {type(value).__name__}")
+            return ""
+        return (
+            value.replace("&", "&amp;")
+            .replace("<", "&lt;")
+            .replace(">", "&gt;")
+            .replace('"', "&quot;")
+            .replace("\n", "&#10;")
+            .replace("\t", "&#9;")
+            .replace("\r", "&#13;")
+        )
+
+    def element(head: str, children, where: str, depth: int, tag: str) -> None:
         if not children:
             lines.append(head + "/>")
             return
         lines.append(head + ">")
         for child in children:
-            emit(child, depth + 1)
-        lines.append(f"{' ' * depth}</ns1:{tag}>")
+            node(child, where, depth + 1)
+        lines.append(f"{' ' * (depth + 1)}</ns1:{tag}>")
 
-    def emit(node, depth: int) -> None:
-        # validate_grammar has admitted only these node types, a predicate
-        # from PREDICATES and an operator from LOGICAL_OPS (neither needs
-        # escaping), and a value of None only where the predicate takes none;
-        # a str is one of a QueryModifier's attribute names
-        indent = " " * depth
-        if isinstance(node, CqlAssociation):
-            name, role = _escape(node.name), _escape(node.role_name)
+    def node(item, where: str, depth: int) -> None:
+        # depth counts elements under Target, as in parse_xml; a predicate or
+        # operator is written raw, as any that would need escaping is a violation
+        if depth > MAX_NESTING:
+            if _TOO_DEEP not in violations:
+                violations.append(_TOO_DEEP)
+            return
+        indent = " " * (depth + 1)
+        if isinstance(item, CqlAttribute):
+            name = text(item.name, where, "attribute name")
+            value = ""
+            if item.value is not None:
+                value = f' value="{text(item.value, where, "attribute value")}"'
+            if not item.name:
+                violations.append(f"{where}: attribute name must be non-empty")
+            if item.predicate not in PREDICATES:
+                violations.append(f"{where}: unknown predicate '{item.predicate}'")
+            elif item.predicate in VALUELESS_PREDICATES:
+                if item.value is not None:
+                    violations.append(f"{where}: predicate {item.predicate} takes no value")
+            elif item.value is None:
+                violations.append(f"{where}: predicate {item.predicate} requires a value")
+            lines.append(
+                f'{indent}<ns1:Attribute name="{name}" predicate="{item.predicate}"{value}/>'
+            )
+        elif isinstance(item, CqlAssociation):
+            name = text(item.name, where, "association name")
+            role = text(item.role_name, where, "association roleName")
+            if not item.name:
+                violations.append(f"{where}: association name must be non-empty")
+            if not item.role_name:
+                violations.append(f"{where}: association roleName must be non-empty")
             head = f'{indent}<ns1:Association name="{name}" roleName="{role}"'
-            element(head, () if node.child is None else (node.child,), depth, "Association")
-        elif isinstance(node, CqlAttribute):
-            name, predicate = _escape(node.name), node.predicate
-            value = "" if node.value is None else f' value="{_escape(node.value)}"'
-            lines.append(f'{indent}<ns1:Attribute name="{name}" predicate="{predicate}"{value}/>')
-        elif isinstance(node, CqlGroup):
-            element(f'{indent}<ns1:Group logicalOp="{node.logical_op}"', node.items, depth, "Group")
+            child = () if item.child is None else (item.child,)
+            element(head, child, f"{where}/Association", depth, "Association")
+        elif isinstance(item, CqlGroup):
+            if item.logical_op not in LOGICAL_OPS:
+                violations.append(f"{where}: unknown logical operator '{item.logical_op}'")
+            if len(item.items) < 2:
+                violations.append(f"{where}: group must combine at least two constraints")
+            head = f'{indent}<ns1:Group logicalOp="{item.logical_op}"'
+            element(head, item.items, f"{where}/Group", depth, "Group")
         else:
-            lines.append(f"{indent}<ns1:AttributeNames>{_escape(node)}</ns1:AttributeNames>")
+            violations.append(f"{where}: unexpected node {type(item).__name__}")
 
     target = query.target
-    head = f' <ns1:Target name="{_escape(target.name)}"'
-    element(head, () if target.child is None else (target.child,), 1, "Target")
+    name = text(target.name, "Target", "name")
+    if not target.name:
+        violations.append("Target: name must be non-empty")
+    child = () if target.child is None else (target.child,)
+    element(f' <ns1:Target name="{name}"', child, "Target", 0, "Target")
     m = query.modifier
     if m is not None:
-        distinct = m.distinct_attribute
-        head = " <ns1:QueryModifier" + (
-            "" if distinct is None else f' distinctAttribute="{_escape(distinct)}"'
-        )
-        element(head, m.attribute_names, 1, "QueryModifier")
+        if m.distinct_attribute is None and not m.attribute_names:
+            violations.append("QueryModifier: at least one field must be populated")
+        head = " <ns1:QueryModifier"
+        if m.distinct_attribute is not None:
+            distinct = text(m.distinct_attribute, "QueryModifier", "distinctAttribute")
+            head += f' distinctAttribute="{distinct}"'
+        names = [text(n, "QueryModifier", "attribute name") for n in m.attribute_names]
+        body = "".join(f"\n  <ns1:AttributeNames>{n}</ns1:AttributeNames>" for n in names)
+        lines.append(head + (f">{body}\n </ns1:QueryModifier>" if names else "/>"))
     lines.append("</ns1:CQLQuery>")
+    return violations, lines
+
+
+def validate_grammar(query: CqlQuery) -> list[str]:
+    """Check derivability from the CQL grammar. Empty report means valid."""
+    return _walk(query)[0]
+
+
+def to_xml(query: CqlQuery) -> str:
+    """Serialize to the canonical CQL XML document."""
+    violations, lines = _walk(query)
+    if violations:
+        raise CqlError("invalid query AST: " + "; ".join(violations))
     return "\n".join(lines) + "\n"
 
 
@@ -230,7 +215,7 @@ def _local(tag: str) -> str:
 
 def _parse_child(element: ET.Element, depth: int = 1):
     if depth > MAX_NESTING:
-        raise CqlXmlError(f"elements nested deeper than {MAX_NESTING} levels under Target")
+        raise CqlXmlError(_TOO_DEEP)
     local = _local(element.tag)
     if local == "Attribute":
         name = element.get("name")

@@ -6,8 +6,9 @@ Longest-simple-path enumeration is exponential in general, so everything
 runs under an explicit node budget which is carried in the report.
 
 The timing harness reruns the rewriting stages over a prepared context with
-a monotonic clock, discards one warm-up run, and groups query rows by the
-path length of their rewriting.
+a monotonic clock, discards one warm-up run, takes the repetitions
+round-robin over the queries, and groups query rows by the path length of
+their rewriting.
 """
 
 from __future__ import annotations
@@ -156,25 +157,27 @@ def stage_timings(
             runnable.append(query)
         except PipelineError as error:
             failed.append((query, f"{error.stage}: {error}"))
-    for query in runnable:
-        sums = {stage: 0.0 for stage in STAGES}
-        end_to_end = 0.0
-        outcome = None
-        # collector pauses would dwarf microsecond stages; keep it out of the
-        # measured section
-        gc_was_enabled = gc.isenabled()
-        gc.collect()
-        gc.disable()
-        try:
-            for _ in range(repetitions):
+    sums = [dict.fromkeys(STAGES, 0.0) for _ in runnable]
+    end_to_end = [0.0] * len(runnable)
+    outcomes = [None] * len(runnable)
+    # collector pauses would dwarf microsecond stages; keep it out of the
+    # measured section, and take the repetitions round-robin over the
+    # queries, so a slow spell of the machine falls on every query alike
+    gc_was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(repetitions):
+            for i, query in enumerate(runnable):
                 start = time.process_time_ns()
-                outcome = rewrite_prepared(context, query, options)
-                end_to_end += (time.process_time_ns() - start) / 1000.0
+                outcomes[i] = outcome = rewrite_prepared(context, query, options)
+                end_to_end[i] += (time.process_time_ns() - start) / 1000.0
                 for stage in STAGES:
-                    sums[stage] += outcome.durations_us[stage]
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+                    sums[i][stage] += outcome.durations_us[stage]
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    for query, stage_sums, total, outcome in zip(runnable, sums, end_to_end, outcomes):
         assert outcome is not None
         path_length = max(
             (len(props) for _, _, props in outcome.results[0].provenance.path_choices),
@@ -185,8 +188,8 @@ def stage_timings(
                 query=query,
                 path_length=path_length,
                 repetitions=repetitions,
-                stage_means_us={stage: sums[stage] / repetitions for stage in STAGES},
-                end_to_end_us=end_to_end / repetitions,
+                stage_means_us={stage: stage_sums[stage] / repetitions for stage in STAGES},
+                end_to_end_us=total / repetitions,
             )
         )
 

@@ -449,6 +449,9 @@ def extract_uml(ast: QueryNode, index: SubsumptionIndex) -> LazyProduct:
 
 # --- data value extraction / re-addition -------------------------------------
 
+# the characters XML 1.0 admits in no form, so no CQL document can hold them
+_NOT_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
 
 @dataclass(frozen=True)
 class ValueBinding:
@@ -480,6 +483,12 @@ def extract_data_values(ast: QueryNode) -> tuple[QueryNode, list[ValueBinding]]:
                     if attr_anchor is None:
                         raise PipelineError(
                             "valueExtract", "data value outside an attribute restriction"
+                        )
+                    unwritable = _NOT_XML.search(item.literal)
+                    if unwritable:
+                        code = ord(unwritable.group())
+                        raise PipelineError(
+                            "valueExtract", f"data value holds U+{code:04X}, which CQL cannot carry"
                         )
                     ordinal, base = attr_anchor
                     bindings.append(

@@ -208,12 +208,34 @@ def _association_chain(depth: int) -> CqlQuery:
     return CqlQuery(target=CqlTarget(name="org.example.Root", child=child))
 
 
+def _group_chain(depth: int) -> CqlQuery:
+    """A query with depth elements nested under its Target, each level a group
+    of an attribute and the next level down."""
+    child = CqlAttribute(name="leaf", predicate="IS_NOT_NULL")
+    for level in range(depth - 1):
+        leaf = CqlAttribute(name=f"a{level}", predicate="IS_NULL")
+        child = CqlGroup(logical_op="AND", items=(leaf, child))
+    return CqlQuery(target=CqlTarget(name="org.example.Root", child=child))
+
+
+def _one_level_deeper(document: str, open_tag: str, close_tag: str) -> str:
+    """The document with its Target's child wrapped in one more element."""
+    start = document.index(">\n", document.index("<ns1:Target")) + 2
+    end = document.rindex(" </ns1:Target>")
+    return document[:start] + open_tag + document[start:end] + close_tag + document[end:]
+
+
 def test_parse_bounds_element_nesting():
-    document = to_xml(_association_chain(MAX_NESTING))
+    query = _association_chain(MAX_NESTING)
+    document = to_xml(query)
+    assert parse_xml(document) == query
     assert to_xml(parse_xml(document)) == document
     message = f"nested deeper than {MAX_NESTING} levels under Target"
+    deeper = _one_level_deeper(
+        document, '<ns1:Association name="C" roleName="r">', "</ns1:Association>"
+    )
     with pytest.raises(CqlXmlError, match=message):
-        parse_xml(to_xml(_association_chain(MAX_NESTING + 1)))
+        parse_xml(deeper)
     # a chain far deeper than to_xml can write is still a typed error
     document = (
         '<ns1:CQLQuery xmlns:ns1="http://CQL.caBIG/1/gov.nih.nci.cagrid.CQLQuery">'
@@ -227,15 +249,33 @@ def test_parse_bounds_element_nesting():
 
 
 def test_parse_bounds_group_nesting():
-    child = CqlAttribute(name="leaf", predicate="IS_NOT_NULL")
-    for level in range(MAX_NESTING - 1):
-        leaf = CqlAttribute(name=f"a{level}", predicate="IS_NULL")
-        child = CqlGroup(logical_op="AND", items=(leaf, child))
-    document = to_xml(CqlQuery(target=CqlTarget(name="org.example.Root", child=child)))
+    document = to_xml(_group_chain(MAX_NESTING))
     assert to_xml(parse_xml(document)) == document
-    deeper = CqlGroup(logical_op="OR", items=(CqlAttribute(name="b", predicate="IS_NULL"), child))
+    group = '<ns1:Group logicalOp="OR"><ns1:Attribute name="b" predicate="IS_NULL"/>'
+    deeper = _one_level_deeper(document, group, "</ns1:Group>")
     with pytest.raises(CqlXmlError, match=f"nested deeper than {MAX_NESTING} levels"):
-        parse_xml(to_xml(CqlQuery(target=CqlTarget(name="org.example.Root", child=deeper))))
+        parse_xml(deeper)
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 300, 1200])
+@pytest.mark.parametrize("chain", [_association_chain, _group_chain])
+def test_to_xml_bounds_nesting_as_parse_xml_does(chain, depth):
+    # one violation, worded as parse_xml words it, and never a RecursionError
+    too_deep = f"elements nested deeper than {MAX_NESTING} levels under Target"
+    query = chain(depth)
+    assert validate_grammar(query) == [too_deep]
+    with pytest.raises(CqlError) as raised:
+        to_xml(query)
+    assert str(raised.value) == f"invalid query AST: {too_deep}"
+
+
+def test_a_missing_group_item_is_a_grammar_violation():
+    # the item is None where a node belongs; it is reported, not written
+    leaf = CqlAttribute(name="a", predicate="IS_NULL")
+    query = CqlQuery(target=CqlTarget(name="T", child=CqlGroup("AND", (leaf, None, leaf))))
+    assert validate_grammar(query) == ["Target/Group: unexpected node NoneType"]
+    with pytest.raises(CqlError, match="unexpected node NoneType"):
+        to_xml(query)
 
 
 def test_round_trip_on_generated_corpus():

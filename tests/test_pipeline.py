@@ -11,6 +11,8 @@ from onco_rewriter.cql import (
     CqlGroup,
     CqlQuery,
     CqlTarget,
+    parse_xml,
+    to_xml,
     validate_grammar,
 )
 from onco_rewriter.model import load_model, load_thesaurus
@@ -24,6 +26,7 @@ from onco_rewriter.pipeline import (
     MAX_NESTING,
     NoPathError,
     NoUmlCandidateError,
+    PipelineError,
     QuerySyntaxError,
     RewriteOptions,
     UmlAttributeRef,
@@ -758,3 +761,20 @@ def test_end_to_end_soundness_invariants(cabio_model, ncit_thesaurus, cabio_cont
         assert validate_grammar(result.cql) == []
         if result.cql.target.child is not None:
             walk(result.cql.target.child, result.cql.target.name)
+
+
+# XML 1.0 admits these in no form, escaped or not, so no CQL document holds them
+@pytest.mark.parametrize("char", ["\x00", "\x08", "\x0b", "\x1f", "\ud800", "\ufffe", "\uffff"])
+def test_a_data_value_no_cql_document_can_hold_is_rejected(cabio_context, char):
+    query = f'Gene and hasAttribute some (Gene_Symbol and hasValue value "a{char}b")'
+    with pytest.raises(PipelineError) as raised:
+        rewrite_prepared(cabio_context, query)
+    assert raised.value.stage == "valueExtract"
+    assert str(raised.value) == f"data value holds U+{ord(char):04X}, which CQL cannot carry"
+
+
+def test_data_values_with_whitespace_controls_read_back(cabio_context):
+    query = 'Gene and hasAttribute some (Gene_Symbol and hasValue value "a\tb\nc\rd\x7f\x85")'
+    (result,) = rewrite_prepared(cabio_context, query).results
+    assert parse_xml(to_xml(result.cql)) == result.cql
+    assert result.cql.target.child.value == "a\tb\nc\rd\x7f\x85"
