@@ -38,12 +38,14 @@ from .ontology import (
     Named,
     SubClassOf,
     generate_ontology,
+    model_prefixes,
     serialize_axioms,
 )
 from .pipeline import (
     PipelineError,
     Provenance,
     RewriteOptions,
+    RewriteResult,
     prepare_context,
     rewrite_prepared,
     thesaurus_module,
@@ -70,17 +72,25 @@ def _write(out_dir: str, name: str, content: str) -> Path:
     return target
 
 
-def _prompt_selection(summaries: list[str]) -> int:
+def _journey(source: str, target: str, props: tuple[str, ...]) -> str:
+    return f"{source} -> {target} via {', '.join(props)}"
+
+
+def _prompt_selection(results: tuple[RewriteResult, ...]) -> RewriteResult:
     print("multiple rewritings found:")
-    for i, summary in enumerate(summaries, start=1):
-        print(f"  {i}) {summary}")
-    sys.stdout.write(f"select a rewriting [1-{len(summaries)}]: ")
+    for i, result in enumerate(results, start=1):
+        journeys = "; ".join(_journey(*choice) for choice in result.provenance.path_choices)
+        print(f"  {i}) {journeys or 'no association traversal'}")
+    sys.stdout.write(f"select a rewriting [1-{len(results)}]: ")
     sys.stdout.flush()
     line = sys.stdin.readline()
     try:
-        return int(line.strip()) - 1
+        choice = int(line.strip()) - 1
     except ValueError:
         raise PipelineError("pathFind", f"invalid selection '{line.strip()}'") from None
+    if not 0 <= choice < len(results):
+        raise PipelineError("pathFind", f"selection {choice} out of range")
+    return results[choice]
 
 
 def _load(args: argparse.Namespace) -> tuple[UMLModel, Thesaurus]:
@@ -125,7 +135,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         if sub != sup
     ]
     content = serialize_axioms(
-        AxiomSet(axioms=tuple(inferred), prefixes=context.ontology.prefixes)
+        AxiomSet(axioms=tuple(inferred), prefixes=model_prefixes(context.model))
     )
     inferred_path = _write(args.out, "inferred.axioms", content)
     print(f"wrote {inferred_path}")
@@ -138,8 +148,8 @@ def _render_provenance(query_text: str, provenances: list[Provenance]) -> str:
         lines.append(f"candidate {i:03d}")
         for concept, chosen in provenance.concept_choices:
             lines.append(f"  concept {concept} -> {chosen}")
-        for source, target, props in provenance.path_choices:
-            lines.append(f"  journey {source} -> {target} via {', '.join(props)}")
+        for choice in provenance.path_choices:
+            lines.append(f"  journey {_journey(*choice)}")
         if not provenance.path_choices:
             lines.append("  journey none (no association traversal)")
     return "\n".join(lines) + "\n"
@@ -155,17 +165,17 @@ def cmd_rewrite(args: argparse.Namespace) -> int:
     if not query_text.strip():
         print("error: empty query", file=sys.stderr)
         return EXIT_USAGE
+    interactive = args.selection == "interactive"
     options = RewriteOptions(
         max_nodes=args.max_nodes,
         candidate_limit=args.candidate_limit,
-        selection=args.selection,
-        chooser=_prompt_selection if args.selection == "interactive" else None,
+        selection="all" if interactive else args.selection,
     )
-    outcome = rewrite_prepared(prepare_context(*_load(args)), query_text, options)
-    documents = [to_xml(result.cql) for result in outcome.results]
-    provenance_text = _render_provenance(
-        query_text, [result.provenance for result in outcome.results]
-    )
+    results = rewrite_prepared(prepare_context(*_load(args)), query_text, options).results
+    if interactive and len(results) > 1:
+        results = (_prompt_selection(results),)
+    documents = [to_xml(result.cql) for result in results]
+    provenance_text = _render_provenance(query_text, [result.provenance for result in results])
     if args.out:
         for i, document in enumerate(documents, start=1):
             path = _write(args.out, f"candidate_{i:03d}.xml", document)

@@ -19,8 +19,9 @@ it. Both sides bound nesting at ``MAX_NESTING`` elements under Target:
 
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 CQL_NAMESPACE = "http://CQL.caBIG/1/gov.nih.nci.cagrid.CQLQuery"
 
@@ -42,6 +43,8 @@ LOGICAL_OPS = ("AND", "OR")
 # so this keeps any query far from the interpreter's recursion limit
 MAX_NESTING = 256
 _TOO_DEEP = f"elements nested deeper than {MAX_NESTING} levels under Target"
+# the characters XML 1.0 admits in no form, so no CQL document can hold them
+NOT_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 class CqlError(ValueError):
@@ -288,5 +291,22 @@ def parse_xml(document: str) -> CqlQuery:
 
 
 def semantically_equal(document_a: str, document_b: str) -> bool:
-    """Whitespace-insensitive structural equality of two CQL XML documents."""
-    return parse_xml(document_a) == parse_xml(document_b)
+    """Whitespace-insensitive structural equality of two CQL XML documents.
+
+    The parsed trees are compared node pair by node pair from an explicit
+    stack, as ``==`` would compare them, so any depth ``parse_xml`` admits
+    costs no recursion."""
+    stack = [(parse_xml(document_a), parse_xml(document_b))]
+    while stack:
+        a, b = stack.pop()
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, tuple):
+            if len(a) != len(b):
+                return False
+            stack.extend(zip(a, b))
+        elif is_dataclass(a):
+            stack.extend((getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+        elif a != b:
+            return False
+    return True

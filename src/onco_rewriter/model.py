@@ -22,6 +22,8 @@ from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from .cql import NOT_XML
+
 DATATYPES = ("string", "integer", "float", "boolean", "date")
 
 
@@ -179,6 +181,15 @@ def _require(mapping: dict, key: str, kind: type, location: str):
     return value
 
 
+def _cql_name(value: str, what: str, location: str) -> str:
+    """``value``, which CQL documents carry; rejected when XML 1.0 cannot hold it."""
+    unwritable = NOT_XML.search(value)
+    if unwritable:
+        code = ord(unwritable.group())
+        raise ModelLoadError(f"{what} holds U+{code:04X}, which CQL cannot carry", location)
+    return value
+
+
 def _reject_unknown(mapping: dict, allowed: set[str], location: str) -> None:
     unknown = set(mapping) - allowed
     if unknown:
@@ -211,7 +222,7 @@ def load_model(document: str) -> UMLModel:
     )
     project = _require(raw, "project", str, "document")
     version = _require(raw, "version", str, "document")
-    prefix = _require(raw, "packagePrefix", str, "document")
+    prefix = _cql_name(_require(raw, "packagePrefix", str, "document"), "packagePrefix", "document")
     raw_classes = _require(raw, "classes", list, "document")
     raw_assocs = raw.get("associations", [])
     if not isinstance(raw_assocs, list):
@@ -223,7 +234,7 @@ def load_model(document: str) -> UMLModel:
         if not isinstance(raw_cls, dict):
             raise ModelLoadError("class entry must be an object", loc)
         _reject_unknown(raw_cls, {"name", "superclasses", "annotation", "attributes"}, loc)
-        name = _require(raw_cls, "name", str, loc)
+        name = _cql_name(_require(raw_cls, "name", str, loc), "class name", loc)
         supers = raw_cls.get("superclasses", [])
         if not isinstance(supers, list) or not all(isinstance(s, str) for s in supers):
             raise ModelLoadError("superclasses must be a list of names", loc)
@@ -233,7 +244,7 @@ def load_model(document: str) -> UMLModel:
             if not isinstance(raw_attr, dict):
                 raise ModelLoadError("attribute entry must be an object", aloc)
             _reject_unknown(raw_attr, {"name", "datatype", "annotation"}, aloc)
-            attr_name = _require(raw_attr, "name", str, aloc)
+            attr_name = _cql_name(_require(raw_attr, "name", str, aloc), "attribute name", aloc)
             datatype = _require(raw_attr, "datatype", str, aloc)
             if datatype not in DATATYPES:
                 raise ModelLoadError(
@@ -280,7 +291,7 @@ def load_model(document: str) -> UMLModel:
             raise ModelLoadError("association entry must be an object", loc)
         _reject_unknown(raw_assoc, {"source", "roleName", "target"}, loc)
         source = _require(raw_assoc, "source", str, loc)
-        role = _require(raw_assoc, "roleName", str, loc)
+        role = _cql_name(_require(raw_assoc, "roleName", str, loc), "roleName", loc)
         target = _require(raw_assoc, "target", str, loc)
         for endpoint in (source, target):
             if endpoint not in name_set:

@@ -244,6 +244,12 @@ def _annotation_expr(annotation: Annotation) -> ClassExpr:
     return Conjunction((primary, cell(0)))
 
 
+def model_prefixes(model: UMLModel) -> dict[str, str]:
+    """The prefix map of ``generate_ontology(model)``: ``c:`` names the project."""
+    project = f"http://onco-rewriter.local/model/{model.project_name}#"
+    return {**DEFAULT_PREFIXES, CLASS_PREFIX: project}
+
+
 def generate_ontology(model: UMLModel) -> AxiomSet:
     """Transform an annotated UML model into an EL axiom set.
 
@@ -292,9 +298,7 @@ def generate_ontology(model: UMLModel) -> AxiomSet:
                 a = Named(attribute_class_name(ancestor, attr.name))
                 emit(SubClassOf(c, Existential(HAS_ATTRIBUTE, a)))
 
-    prefixes = dict(DEFAULT_PREFIXES)
-    prefixes[CLASS_PREFIX] = f"http://onco-rewriter.local/model/{model.project_name}#"
-    return AxiomSet(axioms=tuple(axioms), prefixes=prefixes)
+    return AxiomSet(axioms=tuple(axioms), prefixes=model_prefixes(model))
 
 
 # --- EL conformance -------------------------------------------------------

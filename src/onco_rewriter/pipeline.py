@@ -35,7 +35,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 
 from .cql import MAX_NESTING as CQL_MAX_NESTING
-from .cql import CqlAssociation, CqlAttribute, CqlGroup, CqlQuery, CqlTarget
+from .cql import NOT_XML, CqlAssociation, CqlAttribute, CqlGroup, CqlQuery, CqlTarget
 from .model import Thesaurus, UMLModel, model_signature
 from .module_extraction import extract_module, strip_disjoints
 from .ontology import (
@@ -449,10 +449,6 @@ def extract_uml(ast: QueryNode, index: SubsumptionIndex) -> LazyProduct:
 
 # --- data value extraction / re-addition -------------------------------------
 
-# the characters XML 1.0 admits in no form, so no CQL document can hold them
-_NOT_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
-
-
 @dataclass(frozen=True)
 class ValueBinding:
     """Where a removed data value belongs.
@@ -484,7 +480,7 @@ def extract_data_values(ast: QueryNode) -> tuple[QueryNode, list[ValueBinding]]:
                         raise PipelineError(
                             "valueExtract", "data value outside an attribute restriction"
                         )
-                    unwritable = _NOT_XML.search(item.literal)
+                    unwritable = NOT_XML.search(item.literal)
                     if unwritable:
                         code = ord(unwritable.group())
                         raise PipelineError(
@@ -993,24 +989,26 @@ def format_comprehension(comprehension: MccComprehension) -> str:
 
 @dataclass(frozen=True)
 class RewriteOptions:
+    """Bounds for one rewrite, and whether it builds ``"all"`` results or the ``"first"``."""
+
     max_nodes: int = 16
     candidate_limit: int = 64
-    selection: str = "all"  # all | first | interactive
-    chooser: object = None  # callable(list[str]) -> int, for interactive selection
+    selection: str = "all"
 
     def __post_init__(self):
         # a path has at least two nodes; checked here so no stage runs on a budget no path fits
         if self.max_nodes < 2:
             raise ValueError("max_nodes must be at least 2")
+        if self.selection not in ("all", "first"):
+            raise ValueError(f"selection must be 'all' or 'first', not {self.selection!r}")
 
 
 @dataclass(frozen=True)
 class RewriteContext:
-    """Everything the per-query stages need, prepared once per model."""
+    """What the per-query stages read, prepared once per model."""
 
     model: UMLModel
     naming: ModelNaming
-    ontology: AxiomSet
     index: SubsumptionIndex
 
 
@@ -1046,16 +1044,10 @@ def thesaurus_module(model: UMLModel, thesaurus: Thesaurus) -> AxiomSet:
 
 def prepare_context(model: UMLModel, thesaurus: Thesaurus) -> RewriteContext:
     """Generate the ontology and thesaurus module for a model and classify
-    their union."""
+    their union, keeping only the index: the axioms are freed on return."""
     module_axioms = thesaurus_module(model, thesaurus)
-    ontology = generate_ontology(model)
-    merged = merge_axiom_sets(ontology, module_axioms)
-    return RewriteContext(
-        model=model,
-        naming=model_naming(model),
-        ontology=ontology,
-        index=classify(merged),
-    )
+    merged = merge_axiom_sets(generate_ontology(model), module_axioms)
+    return RewriteContext(model=model, naming=model_naming(model), index=classify(merged))
 
 
 def _plan(
@@ -1216,29 +1208,9 @@ def rewrite_prepared(
                 )
             )
 
-    if options.selection == "interactive" and len(results) > 1:
-        chooser = options.chooser
-        if chooser is None:
-            raise PipelineError("pathFind", "interactive selection requires a chooser")
-        summaries = [_describe_result(r) for r in results]
-        choice = chooser(summaries)
-        if not 0 <= choice < len(results):
-            raise PipelineError("pathFind", f"selection {choice} out of range")
-        results = [results[choice]]
-
     return RewriteOutcome(
         results=tuple(results), durations_us=durations, dropped=tuple(dropped)
     )
-
-
-def _describe_result(result: RewriteResult) -> str:
-    journeys = [
-        f"{source} -> {target} via {', '.join(props)}"
-        for source, target, props in result.provenance.path_choices
-    ]
-    if not journeys:
-        journeys = ["no association traversal"]
-    return "; ".join(journeys)
 
 
 def rewrite(

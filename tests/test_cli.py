@@ -258,10 +258,18 @@ def diamond_paths(tmp_path):
     return str(model_path), str(thesaurus_path)
 
 
-def test_interactive_selection_prompts_and_emits_choice(diamond_paths, monkeypatch, capsys):
+DIAMOND_PROMPT = (
+    "multiple rewritings found:\n"
+    "  1) c:S -> c:T via c:S_viaA_A, c:A_toT_T\n"
+    "  2) c:S -> c:T via c:S_viaB_B, c:B_toT_T\n"
+    "select a rewriting [1-2]: "
+)
+
+
+def run_interactive(diamond_paths, monkeypatch, answer: str) -> int:
     model_path, thesaurus_path = diamond_paths
-    monkeypatch.setattr(sys, "stdin", io.StringIO("2\n"))
-    code = run(
+    monkeypatch.setattr(sys, "stdin", io.StringIO(answer))
+    return run(
         [
             "rewrite",
             "--model",
@@ -274,11 +282,39 @@ def test_interactive_selection_prompts_and_emits_choice(diamond_paths, monkeypat
             "interactive",
         ]
     )
+
+
+def test_interactive_selection_prompts_and_emits_choice(diamond_paths, monkeypatch, capsys):
+    code = run_interactive(diamond_paths, monkeypatch, "2\n")
     captured = capsys.readouterr()
     assert code == 0
-    assert "1)" in captured.out and "2)" in captured.out
+    assert captured.out.startswith(DIAMOND_PROMPT + "<ns1:CQLQuery")
     assert captured.out.count("<ns1:CQLQuery") == 1
     assert 'roleName="viaB"' in captured.out
+    assert captured.err.endswith(
+        "candidate 001\n"
+        "  concept CS -> c:S\n"
+        "  concept CT -> c:T\n"
+        "  journey c:S -> c:T via c:S_viaB_B, c:B_toT_T\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "answer, message",
+    [
+        ("3\n", "selection 2 out of range"),
+        ("0\n", "selection -1 out of range"),
+        ("x\n", "invalid selection 'x'"),
+        ("", "invalid selection ''"),
+    ],
+)
+def test_interactive_selection_rejects_bad_answer(
+    diamond_paths, monkeypatch, capsys, answer, message
+):
+    assert run_interactive(diamond_paths, monkeypatch, answer) == 2
+    captured = capsys.readouterr()
+    assert captured.out == DIAMOND_PROMPT
+    assert captured.err == f"error: stage pathFind: {message}\n"
 
 
 def test_metrics_fixture_row(capsys):

@@ -171,6 +171,81 @@ def test_parse_rejects_malformed_xml():
         parse_xml("<ns1:CQLQuery")
 
 
+def _document(body: str) -> str:
+    namespace = "http://CQL.caBIG/1/gov.nih.nci.cagrid.CQLQuery"
+    return f'<ns1:CQLQuery xmlns:ns1="{namespace}">{body}</ns1:CQLQuery>'
+
+
+def _under_target(child: str) -> str:
+    return _document(f'<ns1:Target name="x">{child}</ns1:Target>')
+
+
+_NULL_A = '<ns1:Attribute name="a" predicate="IS_NULL"/>'
+_NULL_B = '<ns1:Attribute name="b" predicate="IS_NULL"/>'
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        (
+            '<ns1:Query xmlns:ns1="http://CQL.caBIG/1/gov.nih.nci.cagrid.CQLQuery"/>',
+            "unexpected root element '{http://CQL.caBIG/1/gov.nih.nci.cagrid.CQLQuery}Query'",
+        ),
+        (_document('<ns1:Target name="x"/><ns1:Target name="y"/>'), "multiple Target elements"),
+        (_document("<ns1:Target/>"), "Target requires a name"),
+        (_under_target(_NULL_A + _NULL_B), "Target can hold at most one child"),
+        (
+            _document('<ns1:Target name="x"/><ns1:QueryModifier><ns1:Frob/></ns1:QueryModifier>'),
+            "unknown element '{http://CQL.caBIG/1/gov.nih.nci.cagrid.CQLQuery}Frob'"
+            " in QueryModifier",
+        ),
+    ],
+)
+def test_parse_xml_rejects(document, message):
+    with pytest.raises(CqlXmlError) as raised:
+        parse_xml(document)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize(
+    "child, message",
+    [
+        ('<ns1:Attribute predicate="IS_NULL"/>', "Attribute requires name and predicate"),
+        ('<ns1:Attribute name="a"/>', "Attribute requires name and predicate"),
+        (
+            f'<ns1:Attribute name="a" predicate="IS_NULL">{_NULL_B}</ns1:Attribute>',
+            "Attribute cannot have children",
+        ),
+        ('<ns1:Association name="C"/>', "Association requires name and roleName"),
+        (
+            f'<ns1:Association name="C" roleName="r">{_NULL_A}{_NULL_B}</ns1:Association>',
+            "Association can hold at most one child",
+        ),
+        (f"<ns1:Group>{_NULL_A}{_NULL_B}</ns1:Group>", "Group requires logicalOp"),
+        ('<ns1:Group logicalOp="AND"/>', "Group cannot be empty"),
+        ("<ns1:Frob/>", "unknown element 'Frob'"),
+    ],
+)
+def test_parse_child_rejects(child, message):
+    with pytest.raises(CqlXmlError) as raised:
+        parse_xml(_under_target(child))
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ("<CQLQuery/>", "element 'CQLQuery' is not namespace-qualified"),
+        (_document('<Target name="x"/>'), "element 'Target' is not namespace-qualified"),
+        ('<ns1:CQLQuery xmlns:ns1="http://other"/>', "namespace mismatch: 'http://other'"),
+    ],
+)
+def test_local_rejects(document, message):
+    with pytest.raises(CqlXmlError) as raised:
+        parse_xml(document)
+    assert str(raised.value) == message
+
+
 def test_parse_accepts_any_prefix_bound_to_namespace():
     document = (
         '<q:CQLQuery xmlns:q="http://CQL.caBIG/1/gov.nih.nci.cagrid.CQLQuery">'
@@ -255,6 +330,35 @@ def test_parse_bounds_group_nesting():
     deeper = _one_level_deeper(document, group, "</ns1:Group>")
     with pytest.raises(CqlXmlError, match=f"nested deeper than {MAX_NESTING} levels"):
         parse_xml(deeper)
+
+
+@pytest.mark.parametrize("chain", [_association_chain, _group_chain])
+def test_semantic_equality_at_the_deepest_nesting_parse_xml_admits(chain):
+    document = to_xml(chain(MAX_NESTING))
+    assert semantically_equal(document, document)
+    changed = document.replace('name="leaf"', 'name="leaf2"')
+    assert changed != document
+    assert not semantically_equal(document, changed)
+    assert not semantically_equal(changed, document)
+
+
+def test_semantic_equality_matches_ast_equality():
+    rng = random.Random(resolve_seed())
+    verdicts = []
+    for _ in range(400):
+        copy, modify = rng.random() < 0.3, rng.random() < 0.3
+        state = rng.getstate()
+        a = random_cql_query(rng, max_depth=rng.randint(0, 2))
+        if copy:
+            rng.setstate(state)  # an equal tree, built separately
+        b = random_cql_query(rng, max_depth=rng.randint(0, 2))
+        if modify:  # for a copy, a pair that differs only in its modifier
+            b = CqlQuery(target=b.target, modifier=QueryModifier(attribute_names=("a",)))
+        document_a, document_b = to_xml(a), to_xml(b)
+        expected = parse_xml(document_a) == parse_xml(document_b)
+        assert semantically_equal(document_a, document_b) == expected, (document_a, document_b)
+        verdicts.append(expected)
+    assert True in verdicts and False in verdicts
 
 
 @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 300, 1200])

@@ -115,6 +115,49 @@ def test_duplicate_role_name_rejected():
         load_model(document)
 
 
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        (
+            minimal_model().replace("org.example", "org.ex\\u0008ample"),
+            "document: packagePrefix holds U+0008",
+        ),
+        (
+            minimal_model(classes=[{"name": "A"}, {"name": "B\x1f"}]),
+            "classes[1]: class name holds U+001F",
+        ),
+        (
+            minimal_model(
+                classes=[{"name": "A", "attributes": [{"name": "x\ufffe", "datatype": "string"}]}]
+            ),
+            "classes[0].attributes[0]: attribute name holds U+FFFE",
+        ),
+        (
+            minimal_model(
+                classes=[{"name": "A"}],
+                associations=[{"source": "A", "roleName": "\x00r", "target": "A"}],
+            ),
+            "associations[0]: roleName holds U+0000",
+        ),
+    ],
+    ids=["packagePrefix", "class", "attribute", "roleName"],
+)
+def test_name_xml_cannot_carry_rejected(document, message):
+    with pytest.raises(ModelLoadError) as raised:
+        load_model(document)
+    assert str(raised.value) == f"{message}, which CQL cannot carry"
+
+
+def test_cabio_class_renamed_with_backspace_rejected():
+    # renamed in its class, its association ends and its superclass references
+    document = (FIXTURES / "cabio_fragment.model.json").read_text(encoding="utf-8")
+    renamed = document.replace('"Gene"', '"Ge\\bne"')
+    assert renamed != document
+    with pytest.raises(ModelLoadError) as raised:
+        load_model(renamed)
+    assert str(raised.value) == "classes[0]: class name holds U+0008, which CQL cannot carry"
+
+
 def test_malformed_document_rejected_with_location():
     with pytest.raises(ModelLoadError, match="malformed document"):
         load_model("{not json")

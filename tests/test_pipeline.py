@@ -20,17 +20,26 @@ from onco_rewriter.pipeline import (
     And,
     CandidateLimitError,
     ConceptRef,
+    ExtentGenerator,
+    Filter,
     HasAssociationSome,
     HasAttributeSome,
     HasValueEquals,
     MAX_NESTING,
+    MccComprehension,
+    MccError,
     NoPathError,
     NoUmlCandidateError,
     PipelineError,
+    PathGenerator,
     QuerySyntaxError,
     RewriteOptions,
+    TypeBind,
     UmlAttributeRef,
     UmlClassRef,
+    ValueBinding,
+    _context_attribute,
+    _context_class,
     extract_data_values,
     extract_uml,
     find_property_paths,
@@ -273,6 +282,52 @@ def test_reinsert_empty_bindings_is_identity():
     assert reinsert_data_values(tree, []) == tree
 
 
+@pytest.mark.parametrize(
+    "ast, message",
+    [
+        (
+            And((UmlClassRef("c:Gene"), HasValueEquals("x"))),
+            "data value outside an attribute restriction",
+        ),
+        (
+            HasAttributeSome(And((HasValueEquals("a"), HasValueEquals("b")))),
+            "attribute restriction with values only",
+        ),
+        (HasValueEquals("x"), "data value must be conjoined with a concept"),
+    ],
+)
+def test_extract_values_rejects(ast, message):
+    with pytest.raises(PipelineError) as raised:
+        extract_data_values(ast)
+    assert (type(raised.value), raised.value.stage, str(raised.value)) == (
+        PipelineError,
+        "valueExtract",
+        message,
+    )
+
+
+@pytest.mark.parametrize(
+    "binding, message",
+    [
+        (ValueBinding("x", 0, (1,)), "binding address unresolvable: (1,)"),
+        (ValueBinding("x", 0, (0, 5)), "binding address unresolvable: (0, 5)"),
+        (
+            ValueBinding("x", 1, (0, 1)),
+            "binding address unresolvable: no matching attribute restriction",
+        ),
+    ],
+)
+def test_reinsert_values_rejects(binding, message):
+    ast = And((UmlClassRef("c:Gene"), HasAttributeSome(UmlAttributeRef("c:Gene_symbol"))))
+    with pytest.raises(PipelineError) as raised:
+        reinsert_data_values(ast, [binding])
+    assert (type(raised.value), raised.value.stage, str(raised.value)) == (
+        PipelineError,
+        "valueReinsert",
+        message,
+    )
+
+
 # --- semantic validation -----------------------------------------------------------
 
 
@@ -307,6 +362,32 @@ def test_validate_accepts_inherited_attribute(cabio_context):
         (UmlClassRef("c:Chromosome"), HasAttributeSome(UmlAttributeRef("c:Chromosome_number")))
     )
     assert validate_semantics(stripped, cabio_context.index).ok
+
+
+@pytest.mark.parametrize(
+    "context_of, node, message",
+    [
+        (_context_class, ConceptRef("C16612"), "context without a resolved class"),
+        (
+            _context_class,
+            HasAttributeSome(UmlAttributeRef("c:Gene_symbol")),
+            "context without a resolved class",
+        ),
+        (
+            _context_attribute,
+            UmlClassRef("c:Gene"),
+            "attribute restriction without a resolved attribute class",
+        ),
+    ],
+)
+def test_context_lookup_rejects(context_of, node, message):
+    with pytest.raises(PipelineError) as raised:
+        context_of(node)
+    assert (type(raised.value), raised.value.stage, str(raised.value)) == (
+        PipelineError,
+        "validate",
+        message,
+    )
 
 
 # --- property path finding -----------------------------------------------------------
@@ -500,6 +581,59 @@ def test_multiple_filters_become_and_group(cabio_model, cabio_context):
     assert validate_grammar(query) == []
 
 
+@pytest.mark.parametrize(
+    "ast, message",
+    [
+        (
+            And((UmlClassRef("c:SNP"), HasAssociationSome(UmlClassRef("c:Gene")))),
+            "unexpanded association restriction",
+        ),
+        (
+            And((UmlClassRef("c:SNP"), HasValueEquals("x"))),
+            "data value outside an attribute restriction",
+        ),
+    ],
+)
+def test_to_mcc_rejects(cabio_context, ast, message):
+    with pytest.raises(MccError) as raised:
+        to_mcc(ast, cabio_context.naming)
+    assert (raised.value.stage, str(raised.value)) == ("mcc", message)
+
+
+SNP = ExtentGenerator("s", "SNP")
+TO_GENE = PathGenerator("g", "s", "gene")
+
+
+@pytest.mark.parametrize(
+    "head_var, qualifiers, message",
+    [
+        ("s", (ExtentGenerator("s", "Ghost"),), "class 'Ghost' is not part of model 'caBIO'"),
+        ("s", (), "the first qualifier must introduce the header variable"),
+        ("s", (TO_GENE,), "the first qualifier must introduce the header variable"),
+        ("t", (SNP,), "header variable is not introduced by the first qualifier"),
+        ("s", (SNP, SNP), "only the first qualifier may be an extent generator"),
+        ("s", (SNP, PathGenerator("g", "q", "gene")), "variable 'q' used before introduction"),
+        ("s", (SNP, PathGenerator("s", "s", "gene")), "variable 's' introduced twice"),
+        ("s", (SNP, TypeBind("g", "Gene")), "type restriction on 'g' without its generator"),
+        (
+            "s",
+            (SNP, Filter("q", "symbol", "EQUAL_TO", "x")),
+            "filter on unbound variable 'q'",
+        ),
+        (
+            "s",
+            (SNP, TO_GENE, Filter("g", "symbol", "EQUAL_TO", "x")),
+            "filter on unbound variable 'g'",
+        ),
+        ("s", (SNP, TO_GENE), "generator 'g' lacks a type restriction"),
+    ],
+)
+def test_mcc_to_cql_rejects(cabio_model, head_var, qualifiers, message):
+    with pytest.raises(MccError) as raised:
+        mcc_to_cql(MccComprehension(head_var, qualifiers), cabio_model)
+    assert (raised.value.stage, str(raised.value)) == ("mcc", message)
+
+
 # --- the full rewrite ---------------------------------------------------------------
 
 
@@ -675,21 +809,12 @@ def test_selection_first():
     assert outcome.results[0].provenance.path_choices[0][2][0] == "c:S_viaA_A"
 
 
-def test_selection_interactive_uses_chooser():
-    _, _, context = diamond_context()
-    seen: list[list[str]] = []
-
-    def chooser(summaries):
-        seen.append(summaries)
-        return 1
-
-    outcome = rewrite_prepared(
-        context,
-        "CS and hasAssociation some (CT)",
-        RewriteOptions(selection="interactive", chooser=chooser),
-    )
-    assert len(seen) == 1 and len(seen[0]) == 2
-    assert outcome.results[0].provenance.path_choices[0][2][0] == "c:S_viaB_B"
+def test_selection_other_than_all_or_first_is_rejected():
+    # choosing among results is the CLI's prompt; the library only builds them
+    for selection in ("interactive", "", "First", None):
+        with pytest.raises(ValueError) as raised:
+            RewriteOptions(selection=selection)
+        assert str(raised.value) == f"selection must be 'all' or 'first', not {selection!r}"
 
 
 def test_stage_independence_on_direct_edges():

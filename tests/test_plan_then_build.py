@@ -109,15 +109,6 @@ def reference_rewrite_prepared(context, text, options=None):
 
     if options.selection == "first":
         results = results[:1]
-    elif options.selection == "interactive" and len(results) > 1:
-        chooser = options.chooser
-        if chooser is None:
-            raise PipelineError("pathFind", "interactive selection requires a chooser")
-        summaries = [P._describe_result(r) for r in results]
-        choice = chooser(summaries)
-        if not 0 <= choice < len(results):
-            raise PipelineError("pathFind", f"selection {choice} out of range")
-        results = [results[choice]]
 
     return P.RewriteOutcome(results=tuple(results), durations_us={}, dropped=tuple(dropped))
 
@@ -248,10 +239,6 @@ def outcome_of(driver, context, text, options):
     return ("ok", outcome.results, outcome.dropped)
 
 
-def last_choice(summaries):
-    return len(summaries) - 1
-
-
 # 300 nodes: any query with an association takes the nesting check's walk
 BUDGETS = (2, 16, 300)
 
@@ -263,12 +250,9 @@ def test_driver_matches_reference(seed):
     for text in queries:
         for limit in (1, 4, 64):
             for max_nodes in BUDGETS:
-                for selection in ("all", "first", "interactive"):
+                for selection in ("all", "first"):
                     options = RewriteOptions(
-                        max_nodes=max_nodes,
-                        candidate_limit=limit,
-                        selection=selection,
-                        chooser=last_choice,
+                        max_nodes=max_nodes, candidate_limit=limit, selection=selection
                     )
                     expected = outcome_of(reference_rewrite_prepared, context, text, options)
                     assert outcome_of(rewrite_prepared, context, text, options) == expected, (
