@@ -85,12 +85,12 @@ def _prompt_selection(results: tuple[RewriteResult, ...]) -> RewriteResult:
     sys.stdout.flush()
     line = sys.stdin.readline()
     try:
-        choice = int(line.strip()) - 1
+        choice = int(line.strip())
     except ValueError:
         raise PipelineError("pathFind", f"invalid selection '{line.strip()}'") from None
-    if not 0 <= choice < len(results):
-        raise PipelineError("pathFind", f"selection {choice} out of range")
-    return results[choice]
+    if not 1 <= choice <= len(results):
+        raise PipelineError("pathFind", f"selection {choice} out of range 1-{len(results)}")
+    return results[choice - 1]
 
 
 def _load(args: argparse.Namespace) -> tuple[UMLModel, Thesaurus]:

@@ -451,108 +451,76 @@ def extract_uml(ast: QueryNode, index: SubsumptionIndex) -> LazyProduct:
 
 @dataclass(frozen=True)
 class ValueBinding:
-    """Where a removed data value belongs.
+    """The data values of one attribute restriction, the ``ordinal``-th in
+    depth-first order of those no other attribute restriction encloses (path
+    expansion keeps that order and never enters a restriction). ``stripped``
+    is its argument without the values, ``written`` its argument as written."""
 
-    ``attr_ordinal`` numbers the enclosing attribute restriction in
-    depth-first order, and ``rel_path`` gives the child indices from that
-    restriction down to the removed node. Both stay stable across path
-    expansion.
-    """
-
-    literal: str
-    attr_ordinal: int
-    rel_path: tuple[int, ...]
+    ordinal: int
+    stripped: QueryNode
+    written: QueryNode
 
 
 def extract_data_values(ast: QueryNode) -> tuple[QueryNode, list[ValueBinding]]:
-    """Remove every data value, collapsing single-child conjunctions, and
-    record re-insertion addresses in depth-first order."""
+    """Remove every data value, collapsing single-child conjunctions. Each
+    attribute restriction that held values gets one binding, in depth-first
+    order; one nested in another belongs to the outer one's binding."""
     bindings: list[ValueBinding] = []
-    counter = itertools.count()
+    ordinals = itertools.count()
 
-    def walk(node: QueryNode, path: tuple[int, ...], attr_anchor) -> QueryNode:
+    def walk(node: QueryNode, anchored: bool, enclosed: bool) -> QueryNode:
+        # anchored: a data value here belongs to an attribute restriction;
+        # enclosed: an attribute restriction holds this node
         if isinstance(node, And):
             kept: list[QueryNode] = []
-            for i, item in enumerate(node.items):
-                child_path = path + (i,)
-                if isinstance(item, HasValueEquals):
-                    if attr_anchor is None:
-                        raise PipelineError(
-                            "valueExtract", "data value outside an attribute restriction"
-                        )
-                    unwritable = NOT_XML.search(item.literal)
-                    if unwritable:
-                        code = ord(unwritable.group())
-                        raise PipelineError(
-                            "valueExtract", f"data value holds U+{code:04X}, which CQL cannot carry"
-                        )
-                    ordinal, base = attr_anchor
-                    bindings.append(
-                        ValueBinding(
-                            literal=item.literal,
-                            attr_ordinal=ordinal,
-                            rel_path=child_path[base:],
-                        )
+            for item in node.items:
+                if not isinstance(item, HasValueEquals):
+                    kept.append(walk(item, anchored, enclosed))
+                elif not anchored:
+                    raise PipelineError(
+                        "valueExtract", "data value outside an attribute restriction"
                     )
-                else:
-                    kept.append(walk(item, child_path, attr_anchor))
+                elif unwritable := NOT_XML.search(item.literal):
+                    code = ord(unwritable.group())
+                    raise PipelineError(
+                        "valueExtract", f"data value holds U+{code:04X}, which CQL cannot carry"
+                    )
             if not kept:
                 raise PipelineError("valueExtract", "attribute restriction with values only")
-            if len(kept) == 1:
-                return kept[0]
-            return And(tuple(kept))
+            return kept[0] if len(kept) == 1 else And(tuple(kept))
         if isinstance(node, HasAttributeSome):
-            ordinal = next(counter)
-            return HasAttributeSome(walk(node.inner, path + (0,), (ordinal, len(path))))
+            inner = walk(node.inner, True, True)
+            ordinal = None if enclosed else next(ordinals)
+            if ordinal is not None and inner != node.inner:
+                bindings.append(ValueBinding(ordinal, inner, node.inner))
+            return HasAttributeSome(inner)
         if isinstance(node, HasAssociationSome):
-            return HasAssociationSome(walk(node.inner, path + (0,), None))
+            return HasAssociationSome(walk(node.inner, False, enclosed))
         if isinstance(node, AssocStep):
-            return AssocStep(node.property_name, walk(node.inner, path + (0,), None))
+            return AssocStep(node.property_name, walk(node.inner, False, enclosed))
         if isinstance(node, HasValueEquals):
             raise PipelineError("valueExtract", "data value must be conjoined with a concept")
         return node
 
-    stripped = walk(ast, (), None)
-    return stripped, bindings
+    return walk(ast, False, False), bindings
 
 
 def reinsert_data_values(ast: QueryNode, bindings: list[ValueBinding]) -> QueryNode:
-    """Restore extracted data values under their original attribute nodes.
-    With no bindings there is nothing to restore, and ``ast`` comes back."""
+    """Put each binding's written argument back into its attribute
+    restriction, which must still hold the stripped one. With no bindings
+    there is nothing to restore, and ``ast`` comes back."""
     if not bindings:
         return ast
-    groups: dict[int, list[ValueBinding]] = {}
-    for binding in bindings:
-        groups.setdefault(binding.attr_ordinal, []).append(binding)
-    counter = itertools.count()
+    pending = {binding.ordinal: binding for binding in bindings}
+    ordinals = itertools.count()
 
     def walk(node: QueryNode) -> QueryNode:
         if isinstance(node, HasAttributeSome):
-            ordinal = next(counter)
-            inner = walk(node.inner)
-            mine = groups.pop(ordinal, [])
-            if mine:
-                for binding in mine:
-                    if len(binding.rel_path) < 2 or binding.rel_path[:-1] != (0,):
-                        raise PipelineError(
-                            "valueReinsert",
-                            f"binding address unresolvable: {binding.rel_path}",
-                        )
-                existing = list(inner.items) if isinstance(inner, And) else [inner]
-                total = len(existing) + len(mine)
-                slots: list[QueryNode | None] = [None] * total
-                for binding in mine:
-                    index = binding.rel_path[-1]
-                    if not 0 <= index < total or slots[index] is not None:
-                        raise PipelineError(
-                            "valueReinsert",
-                            f"binding address unresolvable: {binding.rel_path}",
-                        )
-                    slots[index] = HasValueEquals(binding.literal)
-                rest = iter(existing)
-                filled = tuple(slot if slot is not None else next(rest) for slot in slots)
-                inner = And(filled)
-            return HasAttributeSome(inner)
+            binding = pending.get(next(ordinals))
+            if binding is None or node.inner != binding.stripped:
+                return node
+            del pending[binding.ordinal]
+            return HasAttributeSome(binding.written)
         if isinstance(node, And):
             return And(tuple(walk(i) for i in node.items))
         if isinstance(node, HasAssociationSome):
@@ -562,7 +530,7 @@ def reinsert_data_values(ast: QueryNode, bindings: list[ValueBinding]) -> QueryN
         return node
 
     result = walk(ast)
-    if groups:
+    if pending:
         raise PipelineError(
             "valueReinsert", "binding address unresolvable: no matching attribute restriction"
         )

@@ -302,8 +302,8 @@ def test_interactive_selection_prompts_and_emits_choice(diamond_paths, monkeypat
 @pytest.mark.parametrize(
     "answer, message",
     [
-        ("3\n", "selection 2 out of range"),
-        ("0\n", "selection -1 out of range"),
+        ("3\n", "selection 3 out of range 1-2"),
+        ("0\n", "selection 0 out of range 1-2"),
         ("x\n", "invalid selection 'x'"),
         ("", "invalid selection ''"),
     ],

@@ -165,6 +165,68 @@ def test_malformed_document_rejected_with_location():
         load_model(minimal_model(classes=[{"nameX": "A"}]))
 
 
+def _document(**fields) -> str:
+    base = {"project": "t", "version": "1", "packagePrefix": "org.example", "classes": []}
+    return json.dumps({**base, **fields})
+
+
+@pytest.mark.parametrize(
+    "document, location, message",
+    [
+        ("[]", "", "malformed document: top level must be an object"),
+        (json.dumps({"version": "1", "classes": []}), "document", "missing field 'project'"),
+        (_document(project=1), "document", "field 'project' must be str, got int"),
+        (_document(associations={}), "document", "field 'associations' must be a list"),
+        (_document(classes=["A"]), "classes[0]", "class entry must be an object"),
+        (
+            _document(classes=[{"name": "A", "superclasses": "B"}]),
+            "classes[0]",
+            "superclasses must be a list of names",
+        ),
+        (
+            _document(classes=[{"name": "A", "superclasses": [1]}]),
+            "classes[0]",
+            "superclasses must be a list of names",
+        ),
+        (
+            _document(classes=[{"name": "A", "attributes": ["x"]}]),
+            "classes[0].attributes[0]",
+            "attribute entry must be an object",
+        ),
+        (
+            _document(classes=[{"name": "A", "annotation": "Gene"}]),
+            "classes[0]",
+            "annotation must be an object",
+        ),
+        (
+            _document(classes=[{"name": "A", "annotation": {"primary": "G", "qualifiers": "Q"}}]),
+            "classes[0]",
+            "qualifiers must be a list of names",
+        ),
+        (
+            _document(classes=[{"name": "A", "annotation": {"primary": "G", "qualifiers": [2]}}]),
+            "classes[0]",
+            "qualifiers must be a list of names",
+        ),
+        (
+            _document(classes=[{"name": "A"}, {"name": "B", "superclasses": ["Ghost"]}]),
+            "classes[1]",
+            "unknown superclass 'Ghost'",
+        ),
+        (
+            _document(classes=[{"name": "A"}], associations=[["A", "r", "A"]]),
+            "associations[0]",
+            "association entry must be an object",
+        ),
+    ],
+)
+def test_document_shape_rejected(document, location, message):
+    with pytest.raises(ModelLoadError) as raised:
+        load_model(document)
+    text = f"{location}: {message}" if location else message
+    assert (raised.value.location, str(raised.value)) == (location, text)
+
+
 def test_loading_is_deterministic(cabio_model):
     text = (FIXTURES / "cabio_fragment.model.json").read_text(encoding="utf-8")
     assert load_model(text) == load_model(text)
@@ -204,6 +266,13 @@ def test_malformed_thesaurus_line_rejected():
         load_thesaurus("FROB A B\n")
     with pytest.raises(ThesaurusLoadError, match="expects two names"):
         load_thesaurus("CONCEPT A\nSUB A\n")
+
+
+@pytest.mark.parametrize("line", ["CONCEPT", "CONCEPT A B"])
+def test_concept_line_needs_one_name(line):
+    with pytest.raises(ThesaurusLoadError) as raised:
+        load_thesaurus(f"CONCEPT Z\n\n{line}\n")
+    assert (raised.value.line, str(raised.value)) == (3, "line 3: CONCEPT expects one name")
 
 
 def test_cabio_signature_matches_annotations(cabio_model):

@@ -376,6 +376,28 @@ def test_parse_errors_carry_line_numbers():
         parse_axioms("Prefix(c:=<http://x#>)\nNonsense(c:A)\n")
 
 
+@pytest.mark.parametrize(
+    "document, line, message",
+    [
+        ("Prefix(c:=<http://x#>\n", 1, "malformed prefix declaration"),
+        ("Prefix(c: <http://x#>)\n", 1, "malformed prefix declaration"),
+        ("Prefix(c:=http://x#)\n", 1, "prefix IRI must be enclosed in <>"),
+        (
+            "SubClassOf(c:A c:B)\n# again\nSubClassOf( c:A  c:B )\n",
+            3,
+            "duplicate axiom: SubClassOf( c:A  c:B )",
+        ),
+        ("\nSubClassOf(c:A c:B) c:C\n", 2, "trailing tokens after axiom: 'c:C'"),
+    ],
+)
+def test_parse_errors(document, line, message):
+    from onco_rewriter.ontology import AxiomParseError
+
+    with pytest.raises(AxiomParseError) as raised:
+        parse_axioms(document)
+    assert (raised.value.line, str(raised.value)) == (line, f"line {line}: {message}")
+
+
 @pytest.mark.parametrize("wrap", ["ObjectIntersectionOf(n:B {})", "ObjectSomeValuesFrom(c:p {})"])
 def test_parse_bounds_expression_nesting(wrap):
     from onco_rewriter.ontology import MAX_NESTING, AxiomParseError

@@ -247,7 +247,13 @@ def test_extract_values_cabio(cabio_context):
     assert format_query(stripped) == (
         "c:SNP and hasAssociation some (c:Gene and hasAttribute some c:Gene_symbol)"
     )
-    assert [b.literal for b in bindings] == ["TGFB1"]
+    assert bindings == [
+        ValueBinding(
+            ordinal=0,
+            stripped=UmlAttributeRef("c:Gene_symbol"),
+            written=And((UmlAttributeRef("c:Gene_symbol"), HasValueEquals("TGFB1"))),
+        )
+    ]
 
 
 def test_extract_values_identity_when_absent():
@@ -266,7 +272,10 @@ def test_extract_values_depth_first_order():
         )
     )
     _, bindings = extract_data_values(tree)
-    assert [b.literal for b in bindings] == ["first", "second"]
+    assert [(b.ordinal, b.written.items[1].literal) for b in bindings] == [
+        (0, "first"),
+        (1, "second"),
+    ]
 
 
 def test_extract_then_reinsert_identity():
@@ -279,7 +288,20 @@ def test_extract_then_reinsert_identity():
 
 def test_reinsert_empty_bindings_is_identity():
     tree = And((UmlClassRef("c:A"), HasAttributeSome(UmlAttributeRef("c:A_x"))))
-    assert reinsert_data_values(tree, []) == tree
+    assert reinsert_data_values(tree, []) is tree
+
+
+def test_values_under_a_nested_conjunction_round_trip():
+    # outside the grammar; the address scheme extracted it and then refused
+    # its own binding with "binding address unresolvable: (0, 1, 1)"
+    tree = HasAttributeSome(
+        And((UmlAttributeRef("c:A_x"), And((UmlAttributeRef("c:A_y"), HasValueEquals("w")))))
+    )
+    stripped, bindings = extract_data_values(tree)
+    assert stripped == HasAttributeSome(
+        And((UmlAttributeRef("c:A_x"), UmlAttributeRef("c:A_y")))
+    )
+    assert reinsert_data_values(stripped, bindings) == tree
 
 
 @pytest.mark.parametrize(
@@ -306,13 +328,23 @@ def test_extract_values_rejects(ast, message):
     )
 
 
+_GENE_SYMBOL_X = And((UmlAttributeRef("c:Gene_symbol"), HasValueEquals("x")))
+
+
 @pytest.mark.parametrize(
     "binding, message",
     [
-        (ValueBinding("x", 0, (1,)), "binding address unresolvable: (1,)"),
-        (ValueBinding("x", 0, (0, 5)), "binding address unresolvable: (0, 5)"),
+        # the restriction holds another argument than the stripped one
         (
-            ValueBinding("x", 1, (0, 1)),
+            ValueBinding(0, UmlAttributeRef("c:Gene_name"), _GENE_SYMBOL_X),
+            "binding address unresolvable: no matching attribute restriction",
+        ),
+        (
+            ValueBinding(0, _GENE_SYMBOL_X, _GENE_SYMBOL_X),
+            "binding address unresolvable: no matching attribute restriction",
+        ),
+        (
+            ValueBinding(1, UmlAttributeRef("c:Gene_symbol"), _GENE_SYMBOL_X),
             "binding address unresolvable: no matching attribute restriction",
         ),
     ],
