@@ -7,8 +7,11 @@ Subcommands: ``ontogen`` (write the generated ontology and extracted module),
 Each command is a ``cmd_*`` function that receives the parsed argparse
 namespace; ``build_parser`` binds it to its subparser as ``run``.
 
-Exit codes: 0 success, 1 usage or I/O failure, 2 pipeline rejection,
-3 internal invariant violation.
+Exit codes follow from three kinds of failure: 1 for an ``InputError`` (a
+document, option or answer that cannot be used) or an ``OSError``, 2 for a
+``PipelineError`` (a query the pipeline rejects, named by its stage), and 3
+with a traceback for anything else, which is a fault of the program. 0 is
+success.
 """
 
 from __future__ import annotations
@@ -27,12 +30,7 @@ from .metrics import (
     render_timing_table,
     stage_timings,
 )
-from .model import (
-    Thesaurus,
-    UMLModel,
-    load_model,
-    load_thesaurus,
-)
+from .model import InputError, Thesaurus, UMLModel, load_model, load_thesaurus
 from .ontology import (
     AxiomSet,
     Named,
@@ -57,11 +55,14 @@ EXIT_REJECTED = 2
 EXIT_INTERNAL = 3
 
 
-def _read_text(path: str, what: str) -> str:
-    p = Path(path)
-    if not p.is_file():
+def _read_text(path: str | None, what: str) -> str:
+    """The text of the file at ``path``, or of stdin when ``path`` is None."""
+    if path is not None and not Path(path).is_file():
         raise FileNotFoundError(f"{what} file not found: {path}")
-    return p.read_text(encoding="utf-8")
+    try:
+        return sys.stdin.read() if path is None else Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as error:
+        raise InputError(f"{what} from {path or 'stdin'} is not UTF-8: {error}") from None
 
 
 def _write(out_dir: str, name: str, content: str) -> Path:
@@ -87,9 +88,9 @@ def _prompt_selection(results: tuple[RewriteResult, ...]) -> RewriteResult:
     try:
         choice = int(line.strip())
     except ValueError:
-        raise PipelineError("pathFind", f"invalid selection '{line.strip()}'") from None
+        raise InputError(f"invalid selection '{line.strip()}'") from None
     if not 1 <= choice <= len(results):
-        raise PipelineError("pathFind", f"selection {choice} out of range 1-{len(results)}")
+        raise InputError(f"selection {choice} out of range 1-{len(results)}")
     return results[choice - 1]
 
 
@@ -156,15 +157,11 @@ def _render_provenance(query_text: str, provenances: list[Provenance]) -> str:
 
 
 def cmd_rewrite(args: argparse.Namespace) -> int:
-    if args.query is not None:
-        query_text = args.query
-    elif args.queryfile is not None:
+    query_text = args.query
+    if query_text is None:
         query_text = _read_text(args.queryfile, "query").strip()
-    else:
-        query_text = sys.stdin.read().strip()
     if not query_text.strip():
-        print("error: empty query", file=sys.stderr)
-        return EXIT_USAGE
+        raise InputError("empty query")
     interactive = args.selection == "interactive"
     options = RewriteOptions(
         max_nodes=args.max_nodes,
@@ -204,8 +201,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if line.strip() and not line.strip().startswith("#")
     ]
     if not queries:
-        print("error: query suite is empty", file=sys.stderr)
-        return EXIT_USAGE
+        raise InputError("query suite is empty")
     options = RewriteOptions(max_nodes=args.max_nodes)
     report = stage_timings(queries, *_load(args), repetitions=args.repetitions, options=options)
     render = render_timing_csv if args.format == "csv" else render_timing_table
@@ -287,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
     except PipelineError as error:
         print(f"error: stage {error.stage}: {error}", file=sys.stderr)
         return EXIT_REJECTED
-    except (ValueError, FileNotFoundError, OSError) as error:
+    except (InputError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_USAGE
     except Exception:  # noqa: BLE001 - anything else is an internal failure

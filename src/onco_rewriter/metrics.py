@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import Thesaurus, UMLModel
+from .model import InputError, Thesaurus, UMLModel
 from .pipeline import (
     STAGES,
     PipelineError,
@@ -63,7 +63,7 @@ def path_metrics(model: UMLModel, max_nodes: int = 16) -> PathMetrics:
     is depth-first: the edge iterator of the path's last node is a local,
     and the iterators of the nodes before it wait on an explicit stack."""
     if max_nodes < 2:
-        raise ValueError("max_nodes must be at least 2")
+        raise InputError("max_nodes must be at least 2")
     edges = association_edges(model)
     longest = 0
     path_count = 0

@@ -25,6 +25,7 @@ from functools import cached_property
 from .cql import NOT_XML
 
 DATATYPES = ("string", "integer", "float", "boolean", "date")
+MAX_QUALIFIERS = 49  # the most whose generated axioms parse_axioms reads back
 
 
 def closure(starts: Iterable[str], successors: Callable[[str], Collection[str]]) -> list[str]:
@@ -48,7 +49,11 @@ def closure(starts: Iterable[str], successors: Callable[[str], Collection[str]])
     return order
 
 
-class ModelLoadError(ValueError):
+class InputError(ValueError):
+    """What the user gave cannot be used: a document, an option or an answer."""
+
+
+class ModelLoadError(InputError):
     """Raised when a model document is malformed or violates an invariant."""
 
     def __init__(self, message: str, location: str = ""):
@@ -56,7 +61,7 @@ class ModelLoadError(ValueError):
         super().__init__(f"{location}: {message}" if location else message)
 
 
-class ThesaurusLoadError(ValueError):
+class ThesaurusLoadError(InputError):
     """Raised when a thesaurus document is malformed or cyclic."""
 
     def __init__(self, message: str, line: int | None = None):
@@ -182,7 +187,9 @@ def _require(mapping: dict, key: str, kind: type, location: str):
 
 
 def _cql_name(value: str, what: str, location: str) -> str:
-    """``value``, which CQL documents carry; rejected when XML 1.0 cannot hold it."""
+    """``value``, which CQL documents carry; rejected if empty or if XML 1.0 cannot hold it."""
+    if not value:
+        raise ModelLoadError(f"{what} must be non-empty", location)
     unwritable = NOT_XML.search(value)
     if unwritable:
         code = ord(unwritable.group())
@@ -206,6 +213,8 @@ def _parse_annotation(raw, location: str) -> Annotation | None:
     qualifiers = raw.get("qualifiers", [])
     if not isinstance(qualifiers, list) or not all(isinstance(q, str) for q in qualifiers):
         raise ModelLoadError("qualifiers must be a list of names", location)
+    if len(qualifiers) > MAX_QUALIFIERS:
+        raise ModelLoadError(f"more than {MAX_QUALIFIERS} qualifiers", location)
     return Annotation(primary=primary, qualifiers=tuple(qualifiers))
 
 
@@ -213,7 +222,8 @@ def load_model(document: str) -> UMLModel:
     """Parse and validate a model document, returning an immutable UMLModel."""
     try:
         raw = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad syntax, an integer past Python's digit limit, or nesting past the recursion limit
         raise ModelLoadError(f"malformed document: {exc}") from None
     if not isinstance(raw, dict):
         raise ModelLoadError("malformed document: top level must be an object")
@@ -221,8 +231,11 @@ def load_model(document: str) -> UMLModel:
         raw, {"project", "version", "packagePrefix", "classes", "associations"}, "document"
     )
     project = _require(raw, "project", str, "document")
+    if not project.isprintable():  # it is written into the generated ontology's c: IRI
+        raise ModelLoadError("field 'project' must be printable", "document")
     version = _require(raw, "version", str, "document")
-    prefix = _cql_name(_require(raw, "packagePrefix", str, "document"), "packagePrefix", "document")
+    prefix = _require(raw, "packagePrefix", str, "document")
+    prefix = prefix and _cql_name(prefix, "packagePrefix", "document")  # empty is legal
     raw_classes = _require(raw, "classes", list, "document")
     raw_assocs = raw.get("associations", [])
     if not isinstance(raw_assocs, list):
@@ -238,8 +251,11 @@ def load_model(document: str) -> UMLModel:
         supers = raw_cls.get("superclasses", [])
         if not isinstance(supers, list) or not all(isinstance(s, str) for s in supers):
             raise ModelLoadError("superclasses must be a list of names", loc)
+        raw_attrs = raw_cls.get("attributes", [])
+        if not isinstance(raw_attrs, list):
+            raise ModelLoadError("field 'attributes' must be a list", loc)
         attributes: list[UMLAttribute] = []
-        for j, raw_attr in enumerate(raw_cls.get("attributes", [])):
+        for j, raw_attr in enumerate(raw_attrs):
             aloc = f"{loc}.attributes[{j}]"
             if not isinstance(raw_attr, dict):
                 raise ModelLoadError("attribute entry must be an object", aloc)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .model import Annotation, UMLModel
+from .model import Annotation, InputError, UMLModel
 
 CLASS_PREFIX = "c"
 UPPER_PREFIX = "u"
@@ -48,11 +48,11 @@ DEFAULT_PREFIXES = {
 }
 
 
-class OntologyError(ValueError):
+class OntologyError(InputError):
     pass
 
 
-class AxiomParseError(ValueError):
+class AxiomParseError(InputError):
     def __init__(self, message: str, line: int):
         self.line = line
         super().__init__(f"line {line}: {message}")

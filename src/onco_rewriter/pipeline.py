@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 
 from .cql import MAX_NESTING as CQL_MAX_NESTING
 from .cql import NOT_XML, CqlAssociation, CqlAttribute, CqlGroup, CqlQuery, CqlTarget
-from .model import Thesaurus, UMLModel, model_signature
+from .model import InputError, Thesaurus, UMLModel, model_signature
 from .module_extraction import extract_module, strip_disjoints
 from .ontology import (
     UML_ATTRIBUTE,
@@ -318,17 +318,14 @@ def _check_structure(root: QueryNode) -> None:
         concepts = [p for p in _parts(node) if isinstance(p, ConceptRef)]
         if len(concepts) != 1:
             raise QuerySyntaxError(f"{where} must name exactly one concept")
+        # a ConceptRef needs no check, and the parser builds no other part (nor And in And)
         for part in _parts(node):
-            if isinstance(part, ConceptRef):
-                continue
             if isinstance(part, HasAssociationSome):
                 class_context(part.inner, "an association target")
             elif isinstance(part, HasAttributeSome):
                 attribute_context(part.inner)
             elif isinstance(part, HasValueEquals):
                 raise QuerySyntaxError("hasValue is only allowed inside a hasAttribute restriction")
-            else:
-                raise QuerySyntaxError(f"unexpected {type(part).__name__} in {where}")
 
     def attribute_context(node: QueryNode) -> None:
         concepts = [p for p in _parts(node) if isinstance(p, ConceptRef)]
@@ -966,9 +963,9 @@ class RewriteOptions:
     def __post_init__(self):
         # a path has at least two nodes; checked here so no stage runs on a budget no path fits
         if self.max_nodes < 2:
-            raise ValueError("max_nodes must be at least 2")
+            raise InputError("max_nodes must be at least 2")
         if self.selection not in ("all", "first"):
-            raise ValueError(f"selection must be 'all' or 'first', not {self.selection!r}")
+            raise InputError(f"selection must be 'all' or 'first', not {self.selection!r}")
 
 
 @dataclass(frozen=True)

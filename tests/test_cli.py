@@ -311,10 +311,10 @@ def test_interactive_selection_prompts_and_emits_choice(diamond_paths, monkeypat
 def test_interactive_selection_rejects_bad_answer(
     diamond_paths, monkeypatch, capsys, answer, message
 ):
-    assert run_interactive(diamond_paths, monkeypatch, answer) == 2
+    assert run_interactive(diamond_paths, monkeypatch, answer) == 1
     captured = capsys.readouterr()
     assert captured.out == DIAMOND_PROMPT
-    assert captured.err == f"error: stage pathFind: {message}\n"
+    assert captured.err == f"error: {message}\n"
 
 
 def test_metrics_fixture_row(capsys):

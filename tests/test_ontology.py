@@ -388,6 +388,15 @@ def test_parse_errors_carry_line_numbers():
             "duplicate axiom: SubClassOf( c:A  c:B )",
         ),
         ("\nSubClassOf(c:A c:B) c:C\n", 2, "trailing tokens after axiom: 'c:C'"),
+        ("Nonsense(c:A)\n", 1, "unknown axiom kind 'Nonsense'"),
+        ("SubClassOf(c:A\n", 1, "unexpected end of line"),
+        ("SubClassOf c:A c:B\n", 1, "expected '(', got 'c:A'"),
+        ("SubClassOf(c:A ) c:B)\n", 1, "unexpected ')'"),
+        (
+            "SubClassOf(c:A ObjectIntersectionOf(c:B))\n",
+            1,
+            "ObjectIntersectionOf needs at least two parts",
+        ),
     ],
 )
 def test_parse_errors(document, line, message):
