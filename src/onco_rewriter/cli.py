@@ -84,9 +84,11 @@ def _prompt_selection(results: tuple[RewriteResult, ...]) -> RewriteResult:
         print(f"  {i}) {journeys or 'no association traversal'}")
     sys.stdout.write(f"select a rewriting [1-{len(results)}]: ")
     sys.stdout.flush()
-    line = sys.stdin.readline()
     try:
+        line = sys.stdin.readline()
         choice = int(line.strip())
+    except UnicodeDecodeError as error:
+        raise InputError(f"selection from stdin is not UTF-8: {error}") from None
     except ValueError:
         raise InputError(f"invalid selection '{line.strip()}'") from None
     if not 1 <= choice <= len(results):

@@ -5,7 +5,10 @@ classes, ``u:`` for the upper UML vocabulary, ``n:`` for thesaurus concepts
 and ``l:`` for the list vocabulary that encodes ordered qualifier
 annotations. The class expression language is restricted by construction to
 named classes, conjunction, existential restriction and a datatype
-existential, so every generated set stays inside the EL profile.
+existential, so every generated set stays inside the EL profile. One walk
+over the model (``model_facts``) holds the mapping: ``generate_ontology``
+renders it as axioms, and ``ontology_facts`` reads it as the facts the
+reasoner closes, rendering none.
 
 Serialization is a functional-style line format, one axiom per line, with a
 prefix-declaration header. Parsing is the exact inverse.
@@ -14,7 +17,10 @@ prefix-declaration header. Parsing is the exact inverse.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .model import Annotation, InputError, UMLModel
 
@@ -250,100 +256,137 @@ def model_prefixes(model: UMLModel) -> dict[str, str]:
     return {**DEFAULT_PREFIXES, CLASS_PREFIX: project}
 
 
-def generate_ontology(model: UMLModel) -> AxiomSet:
-    """Transform an annotated UML model into an EL axiom set.
+# model_facts' predicates besides hasAttribute, hasValue and the association properties
+SUBCLASS_OF = "subClassOf"
+ANNOTATED_BY = "annotatedBy"
+SUBPROPERTY_OF = "subPropertyOf"
 
-    Emits, per class: the upper-vocabulary subsumption, the annotation
-    encoding, attribute classes with datatype restrictions, association
-    properties, generalizations, and explicit copies of every inherited
-    association and attribute restriction. Raises OntologyError, through
+
+def model_facts(model: UMLModel, inherited: bool = False) -> Iterator[tuple[str, str, object]]:
+    """The model as ``(subject, predicate, object)`` triples, one per axiom of
+    ``generate_ontology`` and in its order; an association edge has its
+    property as predicate. With ``inherited``, each class then repeats its
+    proper ancestors' edges and HAS_ATTRIBUTE triples."""
+    for cls in model.classes:
+        c = class_name(cls.name)
+        yield c, SUBCLASS_OF, UML_CLASS
+        if cls.annotation is not None:
+            yield c, ANNOTATED_BY, cls.annotation
+        for attr in cls.attributes:
+            a = attribute_class_name(cls.name, attr.name)
+            yield a, SUBCLASS_OF, UML_ATTRIBUTE
+            yield a, HAS_VALUE, DATATYPE_MAP[attr.datatype]
+            if attr.annotation is not None:
+                yield a, ANNOTATED_BY, attr.annotation
+            yield c, HAS_ATTRIBUTE, a
+        for assoc in model.associations_from(cls.name):
+            prop = association_property_name(assoc.source, assoc.role_name, assoc.target)
+            yield prop, SUBPROPERTY_OF, HAS_ASSOCIATION
+            yield c, prop, class_name(assoc.target)
+        for sup in dict.fromkeys(cls.superclasses):
+            yield c, SUBCLASS_OF, class_name(sup)
+        if not inherited:
+            continue
+        for ancestor in model.ancestors(cls.name):
+            if ancestor == cls.name:
+                continue  # a class on a superclass cycle: its own triples came above
+            for assoc in model.associations_from(ancestor):
+                prop = association_property_name(assoc.source, assoc.role_name, assoc.target)
+                yield c, prop, class_name(assoc.target)
+            for attr in model.class_named(ancestor).attributes:
+                yield c, HAS_ATTRIBUTE, attribute_class_name(ancestor, attr.name)
+
+
+def generate_ontology(model: UMLModel) -> AxiomSet:
+    """Transform an annotated UML model into an EL axiom set: the
+    transitivity of hasAssociation, then one axiom per triple of
+    ``model_facts(model, inherited=True)``. Raises OntologyError, through
     ``model_naming``, when two model elements generate one name; that check
     makes every axiom unique, so none needs a duplicate check here. Only a
     superclass listed twice or a class that is its own ancestor would repeat
-    one, and both are skipped.
-    """
+    one, and the walk skips both."""
     model_naming(model)
     axioms: list[Axiom] = [TransitiveProperty(HAS_ASSOCIATION)]
-    emit = axioms.append
-
-    for cls in model.classes:
-        c = Named(class_name(cls.name))
-        # (a) upper-vocabulary membership and annotation
-        emit(SubClassOf(c, Named(UML_CLASS)))
-        if cls.annotation is not None:
-            emit(SubClassOf(c, _annotation_expr(cls.annotation)))
-        # (b) attribute classes
-        for attr in cls.attributes:
-            a = Named(attribute_class_name(cls.name, attr.name))
-            emit(SubClassOf(a, Named(UML_ATTRIBUTE)))
-            emit(SubClassOf(a, DataExistential(HAS_VALUE, DATATYPE_MAP[attr.datatype])))
-            if attr.annotation is not None:
-                emit(SubClassOf(a, _annotation_expr(attr.annotation)))
-            emit(SubClassOf(c, Existential(HAS_ATTRIBUTE, a)))
-        # (c) association properties
-        for assoc in model.associations_from(cls.name):
-            prop = association_property_name(assoc.source, assoc.role_name, assoc.target)
-            emit(SubPropertyOf(prop, HAS_ASSOCIATION))
-            emit(SubClassOf(c, Existential(prop, Named(class_name(assoc.target)))))
-        # (d) generalizations plus explicit inherited restrictions
-        for sup in dict.fromkeys(cls.superclasses):
-            emit(SubClassOf(c, Named(class_name(sup))))
-        for ancestor in model.ancestors(cls.name):
-            if ancestor == cls.name:
-                continue  # a class on a superclass cycle: its own restrictions came above
-            for assoc in model.associations_from(ancestor):
-                prop = association_property_name(assoc.source, assoc.role_name, assoc.target)
-                emit(SubClassOf(c, Existential(prop, Named(class_name(assoc.target)))))
-            for attr in model.class_named(ancestor).attributes:
-                a = Named(attribute_class_name(ancestor, attr.name))
-                emit(SubClassOf(c, Existential(HAS_ATTRIBUTE, a)))
-
+    for subject, predicate, obj in model_facts(model, inherited=True):
+        if predicate == SUBPROPERTY_OF:
+            axioms.append(SubPropertyOf(subject, obj))
+            continue
+        if predicate == SUBCLASS_OF:
+            sup: ClassExpr = Named(obj)
+        elif predicate == ANNOTATED_BY:
+            sup = _annotation_expr(obj)
+        elif predicate == HAS_VALUE:
+            sup = DataExistential(HAS_VALUE, obj)
+        else:
+            sup = Existential(predicate, Named(obj))
+        axioms.append(SubClassOf(Named(subject), sup))
     return AxiomSet(axioms=tuple(axioms), prefixes=model_prefixes(model))
+
+
+class Facts(NamedTuple):
+    """What ``reasoner.classify`` closes: every class name, and each name's
+    direct superclasses, association edges ``(property, range)`` and
+    attribute classes. Every name the tables mention is in ``names``."""
+
+    names: set[str]
+    direct_sup: dict[str, set[str]]
+    direct_edges: dict[str, set[tuple[str, str]]]
+    direct_attrs: dict[str, set[str]]
+
+
+def ontology_facts(model: UMLModel, module: AxiomSet) -> Facts:
+    """The Facts of ``generate_ontology(model)`` merged with a thesaurus
+    module, from ``model_facts`` and the module's named pairs, rendering no
+    axiom. The inherited copies are left out: classify inherits them. An
+    annotation gives its primary concept, and l:OWLList when it has
+    qualifiers, as superclasses; its qualifiers are names only."""
+    direct_sup: defaultdict[str, set[str]] = defaultdict(set)
+    direct_edges: defaultdict[str, set[tuple[str, str]]] = defaultdict(set)
+    direct_attrs: defaultdict[str, set[str]] = defaultdict(set)
+    qualifiers: set[str] = set()
+    for subject, predicate, obj in model_facts(model):
+        if predicate == SUBCLASS_OF:
+            direct_sup[subject].add(obj)
+        elif predicate == ANNOTATED_BY:
+            direct_sup[subject].add(concept_name(obj.primary))
+            if obj.qualifiers:
+                direct_sup[subject].add(OWL_LIST)
+                qualifiers.update(map(concept_name, obj.qualifiers))
+        elif predicate == HAS_ATTRIBUTE:
+            direct_attrs[subject].add(obj)
+        elif predicate not in (HAS_VALUE, SUBPROPERTY_OF):
+            direct_edges[subject].add((predicate, obj))
+    for axiom in module.axioms:
+        direct_sup[axiom.sub.name].add(axiom.sup.name)
+    # edge ranges and attribute classes are classes with a superclass
+    names = qualifiers.union(direct_sup, *direct_sup.values())
+    return Facts(names, direct_sup, direct_edges, direct_attrs)
 
 
 # --- EL conformance -------------------------------------------------------
 
 
-def check_el_axiom(
-    axiom: Axiom,
-    position: int,
-    violations: list[str],
-    names: set[str],
-    named: list[tuple[str, str]] | None = None,
-    restrictions: list[tuple[str, Existential]] | None = None,
-) -> None:
+def check_el_axiom(axiom: Axiom, position: int, violations: list[str], names: set[str]) -> None:
     """The EL rules, in one place. Checks the axiom at ``position``, appending
     each violation to ``violations`` and every name in class position to
-    ``names``. Given ``named`` and ``restrictions``, a subclass axiom whose
-    left-hand side is a name also has its right-hand side split into its
-    top-level conjuncts: ``(name, superclass)`` goes to ``named`` for each
-    named class and ``(name, restriction)`` to ``restrictions`` for each
-    existential restriction (a datatype restriction carries no class)."""
+    ``names``."""
     if isinstance(axiom, SubClassOf):
-        sub = axiom.sub
-        _check_el_expr(sub, position, violations, names)
-        if named is not None and isinstance(sub, Named):
-            _check_el_expr(axiom.sup, position, violations, names, sub.name, named, restrictions)
-        else:
-            _check_el_expr(axiom.sup, position, violations, names)
+        _check_el_expr(axiom.sub, position, violations, names)
+        _check_el_expr(axiom.sup, position, violations, names)
     elif not isinstance(axiom, (SubPropertyOf, TransitiveProperty)):
         violations.append(f"axiom {position}: unknown axiom kind {type(axiom).__name__}")
 
 
-def _check_el_expr(expr, position, violations, names, lhs=None, named=None, restrictions=None):
+def _check_el_expr(expr, position, violations, names):
     if isinstance(expr, Named):
         names.add(expr.name)
-        if lhs is not None:
-            named.append((lhs, expr.name))
     elif isinstance(expr, Conjunction):
         if len(expr.parts) < 2:
             violations.append(f"axiom {position}: conjunction with fewer than two parts")
         for part in expr.parts:
-            _check_el_expr(part, position, violations, names, lhs, named, restrictions)
+            _check_el_expr(part, position, violations, names)
     elif isinstance(expr, Existential):
         _check_el_expr(expr.filler, position, violations, names)
-        if lhs is not None:
-            restrictions.append((lhs, expr))
     elif isinstance(expr, DataExistential):
         if expr.datatype not in DATATYPE_MAP.values():
             violations.append(f"axiom {position}: unknown datatype '{expr.datatype}'")

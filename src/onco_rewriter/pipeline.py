@@ -44,9 +44,10 @@ from .ontology import (
     AxiomSet,
     ModelNaming,
     OntologyError,
-    generate_ontology,
-    merge_axiom_sets,
+    generate_ontology,  # noqa: F401 -- perfbench traces it through this namespace
+    merge_axiom_sets,  # noqa: F401 -- likewise
     model_naming,
+    ontology_facts,
 )
 from .reasoner import (
     AssociationPath,
@@ -1008,11 +1009,13 @@ def thesaurus_module(model: UMLModel, thesaurus: Thesaurus) -> AxiomSet:
 
 
 def prepare_context(model: UMLModel, thesaurus: Thesaurus) -> RewriteContext:
-    """Generate the ontology and thesaurus module for a model and classify
-    their union, keeping only the index: the axioms are freed on return."""
+    """Classify the model's facts with the thesaurus module's subsumptions,
+    rendering no axiom for the model, and keep the index. Raises the
+    undeclared-concept OntologyError first, then ``model_naming``'s."""
     module_axioms = thesaurus_module(model, thesaurus)
-    merged = merge_axiom_sets(generate_ontology(model), module_axioms)
-    return RewriteContext(model=model, naming=model_naming(model), index=classify(merged))
+    naming = model_naming(model)
+    index = classify(ontology_facts(model, module_axioms))
+    return RewriteContext(model=model, naming=naming, index=index)
 
 
 def _plan(

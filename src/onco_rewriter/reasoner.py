@@ -1,19 +1,18 @@
-"""Saturation reasoning over generated EL axiom sets.
+"""Saturation reasoning over the facts of a generated EL ontology.
 
 classify() computes three relations in polynomial time: the reflexive and
 transitively closed named subsumption, the attribute classes each class can
 reach through hasAttribute (inherited included), and the association edges
-each class carries (inherited included, ranges kept as declared). It walks
-the axioms once, checking the EL rules as it collects the class names, the
-direct superclasses, the existential restrictions and the property
-hierarchy. Subsumption is then closed over the condensation of the
-direct-superclass graph in one depth-first pass (Tarjan's strongly connected
-components, each finished after every component it reaches), so the members
-of a cycle share one subsumer set. Edges and attributes are inherited only
-from the subsumers that carry some; a name that inherits none gets the one
-shared empty set. Transitive reachability over the edges is not
-precomputed: it is answered per source on the first query for that source
-and kept on the index.
+each class carries (inherited included, ranges kept as declared). It takes
+``Facts`` (the class names, direct superclasses, edges and attributes),
+which preparation reads straight from the model and the thesaurus module.
+Subsumption is closed over the condensation of the direct-superclass graph
+in one depth-first pass (Tarjan's strongly connected components, each
+finished after every component it reaches), so the members of a cycle share
+one subsumer set. Edges and attributes are inherited only from the subsumers
+that carry some; a name that inherits none gets the one shared empty set.
+Transitive reachability over the edges is not precomputed: it is answered
+per source on the first query for that source and kept on the index.
 
 Association ranges stay verbatim on edges; widening a range to one of its
 superclasses is handled at the point of matching instead (a reachability or
@@ -40,16 +39,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .model import closure
-from .ontology import (
-    HAS_ASSOCIATION,
-    HAS_ATTRIBUTE,
-    AxiomSet,
-    Existential,
-    Named,
-    SubClassOf,
-    SubPropertyOf,
-    check_el_axiom,
-)
+from .ontology import Facts
 
 
 class ReasonerError(ValueError):
@@ -125,53 +115,14 @@ class SubsumptionIndex:
         return dict(sources)
 
 
-def classify(axiom_set: AxiomSet) -> SubsumptionIndex:
-    """Saturate the axiom set into a SubsumptionIndex.
-
-    One walk over the axioms checks the EL rules (``check_el_axiom``),
-    collects the class names, splits the right-hand side of each subclass
-    axiom with a named left-hand side into direct superclasses and
-    existential restrictions, and records the property hierarchy. The first
-    EL violation anywhere is reported before any left-hand side that is not
-    a name. Named subsumption is then closed over the strongly connected
-    components of the direct-superclass graph (``_close``), cycles
-    permitted, and each name inherits the edges and attributes of those of
-    its subsumers that carry some.
-    """
-    violations: list[str] = []
-    names: set[str] = set()
-    named: list[tuple[str, str]] = []
-    restrictions: list[tuple[str, Existential]] = []
-    named_lhs = True
-    prop_children: defaultdict[str, list[str]] = defaultdict(list)
-    for position, axiom in enumerate(axiom_set.axioms):
-        check_el_axiom(axiom, position, violations, names, named, restrictions)
-        if isinstance(axiom, SubClassOf):
-            named_lhs = named_lhs and isinstance(axiom.sub, Named)
-        elif isinstance(axiom, SubPropertyOf):
-            prop_children[axiom.sup].append(axiom.sub)
-    if violations:
-        raise ReasonerError(f"non-EL axiom encountered: {violations[0]}")
-    if not named_lhs:
-        raise ReasonerError("subclass axioms must have a named left-hand side")
-
-    direct_sup: defaultdict[str, set[str]] = defaultdict(set)
-    for sub, sup in named:
-        direct_sup[sub].add(sup)
-    # the properties whose reflexive-transitive superproperties include hasAssociation
-    associations = set(closure([HAS_ASSOCIATION], lambda prop: prop_children.get(prop, ())))
-    direct_edges: defaultdict[str, set[tuple[str, str]]] = defaultdict(set)
-    direct_attrs: defaultdict[str, set[str]] = defaultdict(set)
-    for lhs, restriction in restrictions:
-        filler = restriction.filler
-        # compound fillers (noted qualifier lists) contribute no index entries
-        if isinstance(filler, Named):
-            prop = restriction.property_name
-            if prop == HAS_ATTRIBUTE:
-                direct_attrs[lhs].add(filler.name)
-            elif prop in associations:
-                direct_edges[lhs].add((prop, filler.name))
-
+def classify(facts: Facts) -> SubsumptionIndex:
+    """Saturate the facts (``ontology.ontology_facts`` for a prepared model,
+    read without rendering any axiom) into a SubsumptionIndex: named
+    subsumption is closed over the strongly connected components of the
+    direct-superclass graph (``_close``), cycles permitted, and each name
+    inherits the edges and attributes of those of its subsumers that carry
+    some."""
+    names, direct_sup, direct_edges, direct_attrs = facts
     subsumers = _close(names, direct_sup)
 
     # inherit edges and attributes from the subsumers that carry some

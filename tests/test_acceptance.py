@@ -37,6 +37,7 @@ from onco_rewriter.synthetic import (
     resolve_seed,
 )
 
+from axiom_decomposition import decompose
 from conftest import CABIO_QUERY, FIXTURES
 from test_cql import TGFB1_DOCUMENT, TGFB1_QUERY
 from test_metrics import assert_matches_oracle, random_graph_model
@@ -121,13 +122,13 @@ def test_criterion_4_reasoner_oracle_equivalence():
         rng = random.Random(resolve_seed() + 40)
         for _ in range(200):
             axiom_set = random_el_axiom_set(rng, max_axioms=50)
-            index = classify(axiom_set)
+            index = classify(decompose(axiom_set))
             assert {k: set(v) for k, v in index.subsumers.items()} == oracle_subsumers(
                 axiom_set
             )
         for _ in range(200):
             nodes, edges, axioms = random_association_graph(rng, max_graph_nodes=20)
-            index = classify(axioms)
+            index = classify(decompose(axioms))
             source, target = rng.choice(nodes), rng.choice(nodes)
             cap = max(2, len(nodes))
             got = find_paths(index, source, target, cap)
@@ -226,7 +227,7 @@ def test_criterion_7_stage_timing_shape():
         assert generation_elapsed < 10.0, f"generation took {generation_elapsed:.3f}s"
 
         start = time.perf_counter()
-        classify(ontology)
+        classify(decompose(ontology))
         classification_elapsed = time.perf_counter() - start
         assert classification_elapsed < 0.5, f"classification took {classification_elapsed:.3f}s"
 

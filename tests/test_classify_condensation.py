@@ -2,9 +2,10 @@
 
 The reference below copies the earlier ``classify``, which made three walks
 over the axioms (``el_conformance_report``, ``AxiomSet.class_names`` and
-``_decompose``, all copied here too, so the reference shares no code with the
-single walk), ran one ``closure`` per name, and unioned the edges and
-attributes of every subsumer of every name. On random EL axiom sets (with
+``_decompose``, all copied here too, so the reference shares no code with
+``decompose``'s walk), ran one ``closure`` per name, and unioned the edges and
+attributes of every subsumer of every name. ``classify`` takes the facts
+``decompose`` reads from the axioms. On random EL axiom sets (with
 cycles), the same with attribute restrictions and compound fillers, random
 association graphs, and any of these with faults inserted, both must give
 equal subsumption, attribute and edge tables, keys included, or raise
@@ -46,6 +47,7 @@ from onco_rewriter.pipeline import thesaurus_module
 from onco_rewriter.reasoner import ReasonerError, SubsumptionIndex, classify
 from onco_rewriter.synthetic import benchmark_model, random_association_graph, random_el_axiom_set
 
+from axiom_decomposition import decompose
 from conftest import el_with_extras
 
 # --- reference implementation -------------------------------------------------
@@ -185,11 +187,11 @@ def assert_classify_matches(axiom_set: AxiomSet) -> SubsumptionIndex | None:
         expected = reference_classify(axiom_set)
     except ReasonerError as error:
         with pytest.raises(ReasonerError) as raised:
-            classify(axiom_set)
+            classify(decompose(axiom_set))
         assert type(raised.value) is ReasonerError
         assert str(raised.value) == str(error)
         return None
-    index = classify(axiom_set)
+    index = classify(decompose(axiom_set))
     assert index.subsumers == expected.subsumers
     assert index.attribute_of == expected.attribute_of
     assert index.assoc_edges == expected.assoc_edges
@@ -319,7 +321,7 @@ def test_hand_built_cases_match_per_name_closure(case):
 
 
 def test_cycle_members_share_their_tables():
-    index = classify(HAND_BUILT["cycle_below_cycle"])
+    index = classify(decompose(HAND_BUILT["cycle_below_cycle"]))
     assert index.subsumers["c:A"] == {"c:A", "c:B", "c:C", "c:D"}
     assert index.subsumers["c:A"] is index.subsumers["c:B"]
     assert index.subsumers["c:C"] is index.subsumers["c:D"]
@@ -380,7 +382,7 @@ def test_errors_match_per_name_closure(case):
     axiom_set, message = ERRORS[case]
     assert assert_classify_matches(axiom_set) is None
     with pytest.raises(ReasonerError) as raised:
-        classify(axiom_set)
+        classify(decompose(axiom_set))
     assert str(raised.value) == message
 
 

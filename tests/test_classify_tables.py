@@ -59,6 +59,7 @@ from onco_rewriter.synthetic import (
     random_el_axiom_set,
 )
 
+from axiom_decomposition import decompose
 from conftest import el_with_extras, random_context
 
 # --- reference implementation -------------------------------------------------
@@ -189,7 +190,7 @@ def test_classify_and_reachability_match_eager_tables(kind, seed):
     rng = random.Random(seed)
     axiom_set = INPUTS[kind](rng)
     expected = eager_classify(axiom_set)
-    index = classify(axiom_set)
+    index = classify(decompose(axiom_set))
 
     assert index.subsumers == expected.subsumers
     assert index.attribute_of == expected.attribute_of

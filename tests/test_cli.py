@@ -266,9 +266,9 @@ DIAMOND_PROMPT = (
 )
 
 
-def run_interactive(diamond_paths, monkeypatch, answer: str) -> int:
+def run_interactive(diamond_paths, monkeypatch, answer: str | io.TextIOBase) -> int:
     model_path, thesaurus_path = diamond_paths
-    monkeypatch.setattr(sys, "stdin", io.StringIO(answer))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(answer) if isinstance(answer, str) else answer)
     return run(
         [
             "rewrite",
@@ -315,6 +315,18 @@ def test_interactive_selection_rejects_bad_answer(
     captured = capsys.readouterr()
     assert captured.out == DIAMOND_PROMPT
     assert captured.err == f"error: {message}\n"
+
+
+def test_interactive_selection_rejects_non_utf8_answer(diamond_paths, monkeypatch, capsys):
+    # a stdin that decodes strictly, as under a UTF-8 locale other than C or C.UTF-8
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xff\n"), encoding="utf-8")
+    assert run_interactive(diamond_paths, monkeypatch, stdin) == 1
+    captured = capsys.readouterr()
+    assert captured.out == DIAMOND_PROMPT
+    assert captured.err == (
+        "error: selection from stdin is not UTF-8: 'utf-8' codec can't decode byte 0xff"
+        " in position 0: invalid start byte\n"
+    )
 
 
 def test_metrics_fixture_row(capsys):

@@ -1,12 +1,15 @@
 """Any document the CLI reads makes it exit 0, 1 or 2, never 3.
 
-``rewrite``, ``classify`` and ``metrics`` run in-process through ``cli.main``
-on three kinds of input: small model JSON (at most six classes, so that path
+``rewrite``, ``classify``, ``metrics``, ``ontogen`` and ``module`` run
+in-process through ``cli.main`` on three kinds of input: small model JSON (at most six classes, so that path
 search stays small) with fields swapped for an int, null, string, list,
 object or a deeply nested array, or dropped; thesaurus text of random lines
 over the keywords, the model's concept names and junk; and files whose bytes
 are not UTF-8. Exit 3 is a fault of the program, whatever the input, and each
-example must finish within the deadline.
+example must finish within the deadline. On every drawn document, ``ontogen``
+and ``classify`` also give the same exit code and the same ``error:`` line:
+``ontogen`` renders the model's axioms, while ``classify`` prepares the index
+from the model's facts, so the two reach the model by different paths.
 
 ``parse_xml`` on arbitrary or CQL-shaped text returns a ``CqlQuery`` or
 raises ``CqlXmlError``, and nothing else.
@@ -151,7 +154,8 @@ def runs(draw) -> tuple[str, dict[str, bytes]]:
         which = draw(st.sampled_from(sorted(files)))
         at = draw(st.integers(min_value=0, max_value=len(files[which])))
         files[which] = files[which][:at] + draw(st.sampled_from(NOT_UTF8)) + files[which][at:]
-    return draw(st.sampled_from(("rewrite", "classify", "metrics"))), files
+    commands = ("rewrite", "classify", "metrics", "ontogen", "module")
+    return draw(st.sampled_from(commands)), files
 
 
 def run_cli(command: str, files: dict[str, bytes]) -> tuple[int, str]:
@@ -168,7 +172,8 @@ def run_cli(command: str, files: dict[str, bytes]) -> tuple[int, str]:
         stderr = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
             code = main(argv)
-    return code, stderr.getvalue()
+    # without the temporary directory, so that two runs' messages compare
+    return code, stderr.getvalue().replace(directory, "<tmp>")
 
 
 def _model_with(**fields) -> bytes:
@@ -212,6 +217,16 @@ def test_documents_never_exit_three(run):
     code, stderr = run_cli(command, files)
     assert code in (0, 1, 2), stderr
     assert "Traceback" not in stderr
+    outcomes = {
+        other: (code, stderr) if other == command else run_cli(other, files)
+        for other in ("ontogen", "classify")
+    }
+    assert outcomes["ontogen"][0] == outcomes["classify"][0], outcomes
+    assert error_lines(outcomes["ontogen"][1]) == error_lines(outcomes["classify"][1]), outcomes
+
+
+def error_lines(stderr: str) -> list[str]:
+    return [line for line in stderr.splitlines() if line.startswith("error:")]
 
 
 xml_names = st.sampled_from(

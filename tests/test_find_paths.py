@@ -27,6 +27,8 @@ from onco_rewriter.reasoner import (
     find_paths,
 )
 
+from axiom_decomposition import decompose
+
 # --- reference implementation -------------------------------------------------
 
 
@@ -61,7 +63,7 @@ def recursive_find_paths(
 def index_of(classes, associations) -> SubsumptionIndex:
     document = {"project": "t", "version": "1", "packagePrefix": "p", "classes": classes}
     model = load_model(json.dumps(document | {"associations": associations}))
-    return classify(generate_ontology(model))
+    return classify(decompose(generate_ontology(model)))
 
 
 # --- random inputs -----------------------------------------------------------

@@ -33,6 +33,8 @@ from onco_rewriter.synthetic import (
     resolve_seed,
 )
 
+from axiom_decomposition import decompose
+
 
 def oracle_subsumers(axiom_set: AxiomSet) -> dict[str, set[str]]:
     """Naive fixpoint closure of named subsumption, with conjunction
@@ -143,14 +145,14 @@ def test_non_el_axiom_rejected():
 
     bad = AxiomSet(axioms=(SubClassOf(Named("c:A"), Universal()),))
     with pytest.raises(ReasonerError, match="non-EL"):
-        classify(bad)
+        classify(decompose(bad))
 
 
 def test_classify_oracle_equivalence_small():
     rng = random.Random(resolve_seed())
     for _ in range(25):
         axiom_set = random_el_axiom_set(rng)
-        index = classify(axiom_set)
+        index = classify(decompose(axiom_set))
         expected = oracle_subsumers(axiom_set)
         assert {k: set(v) for k, v in index.subsumers.items()} == expected
 
@@ -187,7 +189,7 @@ def test_direct_edge_single_path():
             SubClassOf(Named("c:X"), Existential("c:X_r_Y", Named("c:Y"))),
         )
     )
-    paths = find_paths(classify(axioms), "c:X", "c:Y", 16)
+    paths = find_paths(classify(decompose(axioms)), "c:X", "c:Y", 16)
     assert [p.steps for p in paths] == [(("c:X_r_Y", "c:Y"),)]
 
 
@@ -217,7 +219,7 @@ def test_inheritance_without_materialization():
             SubClassOf(Named("c:Derived"), Named("c:Base")),
         )
     )
-    index = classify(axioms)
+    index = classify(decompose(axioms))
     assert ("c:Base_r_T", "c:T") in index.assoc_edges["c:Derived"]
 
 
@@ -228,7 +230,7 @@ def test_attribute_inheritance():
             SubClassOf(Named("c:Derived"), Named("c:Base")),
         )
     )
-    index = classify(axioms)
+    index = classify(decompose(axioms))
     assert "c:Base_x" in index.attribute_of["c:Derived"]
 
 
@@ -242,7 +244,7 @@ def test_polymorphic_terminal_matching():
             SubClassOf(Named("c:Sub"), Named("c:Super")),
         )
     )
-    index = classify(axioms)
+    index = classify(decompose(axioms))
     down = find_paths(index, "c:A", "c:Sub", 16)
     up = find_paths(index, "c:A", "c:Super", 16)
     assert [p.steps for p in down] == [(("c:A_r_Super", "c:Super"),)]
@@ -254,7 +256,7 @@ def test_find_paths_oracle_equivalence_small():
     rng = random.Random(resolve_seed() + 2)
     for _ in range(25):
         nodes, edges, axioms = random_association_graph(rng, max_graph_nodes=10)
-        index = classify(axioms)
+        index = classify(decompose(axioms))
         max_nodes = rng.randint(2, 6)
         source, target = rng.choice(nodes), rng.choice(nodes)
         got = find_paths(index, source, target, max_nodes)
@@ -271,7 +273,7 @@ def test_reachability_agrees_with_path_existence():
     rng = random.Random(resolve_seed() + 3)
     for _ in range(25):
         nodes, edges, axioms = random_association_graph(rng, max_graph_nodes=8)
-        index = classify(axioms)
+        index = classify(decompose(axioms))
         cap = len(nodes)
         if cap < 2:
             continue
@@ -297,6 +299,6 @@ def test_paths_are_simple_and_chained(cabio_context, cabio_model):
 def test_classify_merged_fixture_agrees_with_oracle(cabio_model, ncit_thesaurus):
     module_axioms = thesaurus_module(cabio_model, ncit_thesaurus)
     merged = merge_axiom_sets(generate_ontology(cabio_model), module_axioms)
-    index = classify(merged)
+    index = classify(decompose(merged))
     expected = oracle_subsumers(merged)
     assert {k: set(v) for k, v in index.subsumers.items()} == expected
