@@ -17,6 +17,7 @@ silently repairing anything.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -26,6 +27,15 @@ from .cql import NOT_XML
 
 DATATYPES = ("string", "integer", "float", "boolean", "date")
 MAX_QUALIFIERS = 49  # the most whose generated axioms parse_axioms reads back
+# parse_axioms reads a name as one run of characters other than whitespace,
+# ( and ), so a name holding one of these could not be read back
+SPLITS_A_NAME = re.compile(r"[\s()]")
+_NOT_A_MODEL_NAME = re.compile(f"{NOT_XML.pattern}|{SPLITS_A_NAME.pattern}")
+_DOCUMENT_FIELDS = frozenset(("project", "version", "packagePrefix", "classes", "associations"))
+_CLASS_FIELDS = frozenset(("name", "superclasses", "annotation", "attributes"))
+_ATTRIBUTE_FIELDS = frozenset(("name", "datatype", "annotation"))
+_ANNOTATION_FIELDS = frozenset(("primary", "qualifiers"))
+_ASSOCIATION_FIELDS = frozenset(("source", "roleName", "target"))
 
 
 def closure(starts: Iterable[str], successors: Callable[[str], Collection[str]]) -> list[str]:
@@ -197,10 +207,26 @@ def _cql_name(value: str, what: str, location: str) -> str:
     return value
 
 
-def _reject_unknown(mapping: dict, allowed: set[str], location: str) -> None:
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ModelLoadError(f"unknown field(s) {sorted(unknown)}", location)
+def _unreadable(value: str, what: str) -> str | None:
+    """Why the ontology text cannot carry ``value`` as a name, or None."""
+    split = SPLITS_A_NAME.search(value)
+    if split is None:
+        return None
+    return f"{what} holds U+{ord(split.group()):04X}, which the ontology text cannot carry"
+
+
+def _model_name(value: str, what: str, location: str) -> str:
+    """``value``, which both CQL documents and the ontology text carry;
+    ``_cql_name``'s errors come first."""
+    if not value or _NOT_A_MODEL_NAME.search(value):
+        _cql_name(value, what, location)
+        raise ModelLoadError(_unreadable(value, what), location)
+    return value
+
+
+def _reject_unknown(mapping: dict, allowed: frozenset[str], location: str) -> None:
+    if not mapping.keys() <= allowed:
+        raise ModelLoadError(f"unknown field(s) {sorted(set(mapping) - allowed)}", location)
 
 
 def _parse_annotation(raw, location: str) -> Annotation | None:
@@ -208,13 +234,17 @@ def _parse_annotation(raw, location: str) -> Annotation | None:
         return None
     if not isinstance(raw, dict):
         raise ModelLoadError("annotation must be an object", location)
-    _reject_unknown(raw, {"primary", "qualifiers"}, location)
+    _reject_unknown(raw, _ANNOTATION_FIELDS, location)
     primary = _require(raw, "primary", str, location)
     qualifiers = raw.get("qualifiers", [])
     if not isinstance(qualifiers, list) or not all(isinstance(q, str) for q in qualifiers):
         raise ModelLoadError("qualifiers must be a list of names", location)
     if len(qualifiers) > MAX_QUALIFIERS:
         raise ModelLoadError(f"more than {MAX_QUALIFIERS} qualifiers", location)
+    # one of the names holds a character iff their concatenation does
+    unreadable = _unreadable(primary + "".join(qualifiers), "annotation concept name")
+    if unreadable:
+        raise ModelLoadError(unreadable, location)
     return Annotation(primary=primary, qualifiers=tuple(qualifiers))
 
 
@@ -227,9 +257,7 @@ def load_model(document: str) -> UMLModel:
         raise ModelLoadError(f"malformed document: {exc}") from None
     if not isinstance(raw, dict):
         raise ModelLoadError("malformed document: top level must be an object")
-    _reject_unknown(
-        raw, {"project", "version", "packagePrefix", "classes", "associations"}, "document"
-    )
+    _reject_unknown(raw, _DOCUMENT_FIELDS, "document")
     project = _require(raw, "project", str, "document")
     if not project.isprintable():  # it is written into the generated ontology's c: IRI
         raise ModelLoadError("field 'project' must be printable", "document")
@@ -246,8 +274,8 @@ def load_model(document: str) -> UMLModel:
         loc = f"classes[{i}]"
         if not isinstance(raw_cls, dict):
             raise ModelLoadError("class entry must be an object", loc)
-        _reject_unknown(raw_cls, {"name", "superclasses", "annotation", "attributes"}, loc)
-        name = _cql_name(_require(raw_cls, "name", str, loc), "class name", loc)
+        _reject_unknown(raw_cls, _CLASS_FIELDS, loc)
+        name = _model_name(_require(raw_cls, "name", str, loc), "class name", loc)
         supers = raw_cls.get("superclasses", [])
         if not isinstance(supers, list) or not all(isinstance(s, str) for s in supers):
             raise ModelLoadError("superclasses must be a list of names", loc)
@@ -259,8 +287,8 @@ def load_model(document: str) -> UMLModel:
             aloc = f"{loc}.attributes[{j}]"
             if not isinstance(raw_attr, dict):
                 raise ModelLoadError("attribute entry must be an object", aloc)
-            _reject_unknown(raw_attr, {"name", "datatype", "annotation"}, aloc)
-            attr_name = _cql_name(_require(raw_attr, "name", str, aloc), "attribute name", aloc)
+            _reject_unknown(raw_attr, _ATTRIBUTE_FIELDS, aloc)
+            attr_name = _model_name(_require(raw_attr, "name", str, aloc), "attribute name", aloc)
             datatype = _require(raw_attr, "datatype", str, aloc)
             if datatype not in DATATYPES:
                 raise ModelLoadError(
@@ -274,10 +302,10 @@ def load_model(document: str) -> UMLModel:
                     annotation=_parse_annotation(raw_attr.get("annotation"), aloc),
                 )
             )
-        attr_counts = Counter(a.name for a in attributes)
-        for attr in attributes:
-            if attr_counts[attr.name] > 1:
-                raise ModelLoadError(f"duplicate attribute name '{attr.name}'", loc)
+        if len({a.name for a in attributes}) != len(attributes):
+            attr_counts = Counter(a.name for a in attributes)
+            duplicate = next(a.name for a in attributes if attr_counts[a.name] > 1)
+            raise ModelLoadError(f"duplicate attribute name '{duplicate}'", loc)
         classes.append(
             UMLClass(
                 name=name,
@@ -288,11 +316,11 @@ def load_model(document: str) -> UMLModel:
         )
 
     names = [c.name for c in classes]
-    name_counts = Counter(names)
-    for i, name in enumerate(names):
-        if name_counts[name] > 1:
-            raise ModelLoadError(f"duplicate class name '{name}'", f"classes[{i}]")
     name_set = set(names)
+    if len(name_set) != len(names):
+        name_counts = Counter(names)
+        i = next(i for i, name in enumerate(names) if name_counts[name] > 1)
+        raise ModelLoadError(f"duplicate class name '{names[i]}'", f"classes[{i}]")
 
     for i, cls in enumerate(classes):
         for sup in cls.superclasses:
@@ -305,9 +333,9 @@ def load_model(document: str) -> UMLModel:
         loc = f"associations[{i}]"
         if not isinstance(raw_assoc, dict):
             raise ModelLoadError("association entry must be an object", loc)
-        _reject_unknown(raw_assoc, {"source", "roleName", "target"}, loc)
+        _reject_unknown(raw_assoc, _ASSOCIATION_FIELDS, loc)
         source = _require(raw_assoc, "source", str, loc)
-        role = _cql_name(_require(raw_assoc, "roleName", str, loc), "roleName", loc)
+        role = _model_name(_require(raw_assoc, "roleName", str, loc), "roleName", loc)
         target = _require(raw_assoc, "target", str, loc)
         for endpoint in (source, target):
             if endpoint not in name_set:
@@ -333,87 +361,90 @@ def load_model(document: str) -> UMLModel:
 def _find_cycle(parents: Mapping[str, Sequence[str]]) -> list[str] | None:
     """The first cycle a depth-first walk over ``parents`` meets, as the path
     from its start to the repeated name, or None for an acyclic map. Every
-    parent must be a key."""
-    # iterative DFS with colouring; a grey revisit is a cycle
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = {name: WHITE for name in parents}
+    parent must be a key. The walk starts from each key in order, follows
+    each parent list in order, and keeps a stack of iterators, as ``closure``
+    does, so depth costs no recursion."""
+    on_path: dict[str, bool] = {}  # True while on the path, False once done
     for start in parents:
-        if colour[start] != WHITE:
+        if start in on_path:
             continue
-        stack: list[tuple[str, int]] = [(start, 0)]
-        colour[start] = GREY
+        on_path[start] = True
         path = [start]
+        stack = [iter(parents[start])]
         while stack:
-            name, idx = stack[-1]
-            if idx < len(parents[name]):
-                stack[-1] = (name, idx + 1)
-                nxt = parents[name][idx]
-                if colour[nxt] == GREY:
-                    return path + [nxt]
-                if colour[nxt] == WHITE:
-                    colour[nxt] = GREY
-                    stack.append((nxt, 0))
-                    path.append(nxt)
+            for parent in stack[-1]:
+                state = on_path.get(parent)
+                if state is None:
+                    on_path[parent] = True
+                    path.append(parent)
+                    stack.append(iter(parents[parent]))
+                    break
+                if state:
+                    path.append(parent)
+                    return path
             else:
-                colour[name] = BLACK
+                on_path[path.pop()] = False
                 stack.pop()
-                path.pop()
     return None
 
 
 def load_thesaurus(document: str) -> Thesaurus:
-    """Parse and validate a thesaurus document (line format, see module docs)."""
-    concepts: list[str] = []
-    concept_set: set[str] = set()
-    subsumptions: list[tuple[str, str]] = []
-    sub_set: set[tuple[str, str]] = set()
-    disjoints: list[tuple[str, str]] = []
-    disjoint_set: set[frozenset[str]] = set()
+    """Parse and validate a thesaurus document (line format, see module docs).
 
-    for lineno, raw_line in enumerate(document.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        keyword = parts[0]
-        if keyword == "CONCEPT":
-            if len(parts) != 2:
-                raise ThesaurusLoadError("CONCEPT expects one name", lineno)
-            if parts[1] not in concept_set:
-                concept_set.add(parts[1])
-                concepts.append(parts[1])
-        elif keyword in ("SUB", "DISJOINT"):
-            if len(parts) != 3:
-                raise ThesaurusLoadError(f"{keyword} expects two names", lineno)
-            a, b = parts[1], parts[2]
-            for name in (a, b):
-                if name not in concept_set:
-                    raise ThesaurusLoadError(f"undeclared concept '{name}'", lineno)
-            if keyword == "SUB":
-                if a == b:
-                    continue  # reflexive pairs carry no information
-                if (a, b) not in sub_set:
-                    sub_set.add((a, b))
-                    subsumptions.append((a, b))
-            else:
-                key = frozenset((a, b))
-                if key not in disjoint_set:
-                    disjoint_set.add(key)
-                    disjoints.append((a, b))
-        else:
-            raise ThesaurusLoadError(f"unknown keyword '{keyword}'", lineno)
-
+    One pass splits each line at whitespace, testing the common lines first.
+    The first bad line raises with its number: a wrong arity, an unknown
+    keyword, an undeclared name, or a concept name holding ``(`` or ``)``,
+    which the ontology text cannot carry. Then the subsumptions, less
+    reflexive and repeated ones, must be acyclic (``_find_cycle``)."""
+    concepts: dict[str, None] = {}  # dicts as ordered sets: declaration order
+    subsumptions: dict[tuple[str, str], None] = {}
+    disjoints: dict[frozenset[str], tuple[str, str]] = {}
     parents: dict[str, list[str]] = {}
-    for child, parent in subsumptions:
-        parents.setdefault(child, []).append(parent)
-        parents.setdefault(parent, [])
+    # the only characters a name split at whitespace may hold that
+    # parse_axioms' tokenizer would split further
+    parens = "(" in document or ")" in document
+
+    for lineno, line in enumerate(document.splitlines(), start=1):
+        parts = line.split()
+        size = len(parts)
+        if size == 3 and parts[0] == "SUB":
+            _, child, parent = parts
+            if child not in concepts:
+                raise ThesaurusLoadError(f"undeclared concept '{child}'", lineno)
+            if parent not in concepts:
+                raise ThesaurusLoadError(f"undeclared concept '{parent}'", lineno)
+            # reflexive pairs carry no information
+            if child != parent and (child, parent) not in subsumptions:
+                subsumptions[child, parent] = None
+                parents.setdefault(child, []).append(parent)
+                parents.setdefault(parent, [])
+        elif size == 2 and parts[0] == "CONCEPT":
+            name = parts[1]
+            if parens and (unreadable := _unreadable(name, "concept name")):
+                raise ThesaurusLoadError(unreadable, lineno)
+            concepts[name] = None
+        elif not parts or parts[0][0] == "#":
+            continue
+        elif parts[0] == "DISJOINT" and size == 3:
+            _, a, b = parts
+            for name in (a, b):
+                if name not in concepts:
+                    raise ThesaurusLoadError(f"undeclared concept '{name}'", lineno)
+            disjoints.setdefault(frozenset((a, b)), (a, b))
+        elif parts[0] == "CONCEPT":
+            raise ThesaurusLoadError("CONCEPT expects one name", lineno)
+        elif parts[0] in ("SUB", "DISJOINT"):
+            raise ThesaurusLoadError(f"{parts[0]} expects two names", lineno)
+        else:
+            raise ThesaurusLoadError(f"unknown keyword '{parts[0]}'", lineno)
+
     cycle = _find_cycle(parents)
     if cycle is not None:
         raise ThesaurusLoadError(f"subsumption cycle: {' -> '.join(cycle)}")
     return Thesaurus(
         concepts=tuple(concepts),
         subsumptions=tuple(subsumptions),
-        disjointness=tuple(disjoints),
+        disjointness=tuple(disjoints.values()),
     )
 
 

@@ -21,10 +21,14 @@ from .ontology import DEFAULT_PREFIXES, AxiomSet, Named, OntologyError, SubClass
 
 
 def strip_disjoints(thesaurus: Thesaurus) -> AxiomSet:
-    """Render the thesaurus as subsumption axioms, discarding disjointness."""
+    """Render the thesaurus as subsumption axioms, discarding disjointness.
+
+    One ``Named`` per declared concept is shared by every axiom that names
+    it; every subsumption names declared concepts, as ``load_thesaurus``
+    ensures."""
+    named = {name: Named(concept_name(name)) for name in thesaurus.concepts}
     axioms = tuple(
-        SubClassOf(Named(concept_name(child)), Named(concept_name(parent)))
-        for child, parent in thesaurus.subsumptions
+        SubClassOf(named[child], named[parent]) for child, parent in thesaurus.subsumptions
     )
     return AxiomSet(axioms, prefixes={"n": DEFAULT_PREFIXES["n"]})
 

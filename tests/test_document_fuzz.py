@@ -1,15 +1,17 @@
 """Any document the CLI reads makes it exit 0, 1 or 2, never 3.
 
-``rewrite``, ``classify``, ``metrics``, ``ontogen`` and ``module`` run
-in-process through ``cli.main`` on three kinds of input: small model JSON (at most six classes, so that path
-search stays small) with fields swapped for an int, null, string, list,
-object or a deeply nested array, or dropped; thesaurus text of random lines
-over the keywords, the model's concept names and junk; and files whose bytes
-are not UTF-8. Exit 3 is a fault of the program, whatever the input, and each
-example must finish within the deadline. On every drawn document, ``ontogen``
-and ``classify`` also give the same exit code and the same ``error:`` line:
-``ontogen`` renders the model's axioms, while ``classify`` prepares the index
-from the model's facts, so the two reach the model by different paths.
+``rewrite``, ``classify``, ``metrics``, ``ontogen``, ``module`` and ``bench``
+(one repetition over a drawn query suite) run in-process through
+``cli.main`` on three kinds of input: small model JSON (at most six classes,
+so that path search stays small) with fields swapped for an int, null,
+string, list, object or a deeply nested array, or dropped; thesaurus text of
+random lines over the keywords, the model's concept names and junk; and
+files whose bytes are not UTF-8. Exit 3 is a fault of the program, whatever
+the input, and each example must finish within the deadline. On every drawn
+document, ``ontogen`` and ``classify`` also give the same exit code and the
+same ``error:`` line: ``ontogen`` renders the model's axioms, while
+``classify`` prepares the index from the model's facts, so the two reach the
+model by different paths.
 
 ``parse_xml`` on arbitrary or CQL-shaped text returns a ``CqlQuery`` or
 raises ``CqlXmlError``, and nothing else.
@@ -140,6 +142,9 @@ query_texts = st.one_of(
     concepts,
     st.text(max_size=10),
 )
+suite_texts = st.lists(query_texts | st.sampled_from(("# a comment", "", "  ")), max_size=4).map(
+    "\n".join
+)
 NOT_UTF8 = (b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xf5\x80\x80\x80")
 
 
@@ -149,12 +154,13 @@ def runs(draw) -> tuple[str, dict[str, bytes]]:
         "model": draw(model_texts()).encode("utf-8"),
         "thesaurus": draw(thesaurus_texts).encode("utf-8"),
         "query": draw(query_texts).encode("utf-8"),
+        "suite": draw(suite_texts).encode("utf-8"),
     }
     if draw(st.integers(min_value=0, max_value=3)) == 0:
         which = draw(st.sampled_from(sorted(files)))
         at = draw(st.integers(min_value=0, max_value=len(files[which])))
         files[which] = files[which][:at] + draw(st.sampled_from(NOT_UTF8)) + files[which][at:]
-    commands = ("rewrite", "classify", "metrics", "ontogen", "module")
+    commands = ("rewrite", "classify", "metrics", "ontogen", "module", "bench")
     return draw(st.sampled_from(commands)), files
 
 
@@ -169,6 +175,8 @@ def run_cli(command: str, files: dict[str, bytes]) -> tuple[int, str]:
             argv += ["--thesaurus", str(paths["thesaurus"]), "--out", f"{directory}/out"]
         if command == "rewrite":
             argv.append(str(paths["query"]))
+        if command == "bench":
+            argv += ["--suite", str(paths["suite"]), "--repetitions", "1"]
         stderr = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
             code = main(argv)
@@ -186,8 +194,10 @@ def _model_with(**fields) -> bytes:
     return json.dumps(model).encode("utf-8")
 
 
-def _files(model: bytes, query: bytes = b"Ca") -> dict[str, bytes]:
-    return {"model": model, "thesaurus": b"CONCEPT Ca\n", "query": query}
+def _files(
+    model: bytes, query: bytes = b"Ca", thesaurus: bytes = b"CONCEPT Ca\n"
+) -> dict[str, bytes]:
+    return {"model": model, "thesaurus": thesaurus, "query": query, "suite": query}
 
 
 EMPTY_ATTRIBUTE = [{"name": "", "datatype": "string", "annotation": {"primary": "Ca"}}]
@@ -209,6 +219,30 @@ EMPTY_ATTRIBUTE = [{"name": "", "datatype": "string", "annotation": {"primary": 
         _files(
             _model_with(attributes=EMPTY_ATTRIBUTE),
             b'Ca and hasAttribute some (Ca and hasValue value "v")',
+        ),
+    )
+)
+# names that the ontology text cannot carry, which loading rejects
+@example(run=("module", _files(_model_with(), thesaurus=b"CONCEPT Ca\nCONCEPT A(\n")))
+@example(run=("ontogen", _files(_model_with(name="K L"))))
+@example(run=("bench", _files(_model_with(name="K("))))
+@example(
+    run=("rewrite", _files(_model_with(attributes=[{"name": "a b", "datatype": "string"}])))
+)
+@example(run=("classify", _files(_model_with(annotation={"primary": "Ca)"}))))
+@example(
+    run=(
+        "ontogen",
+        _files(
+            json.dumps(
+                {
+                    "project": "fuzz",
+                    "version": "1",
+                    "packagePrefix": "",
+                    "classes": [{"name": "A"}],
+                    "associations": [{"source": "A", "roleName": "r\u2028", "target": "A"}],
+                }
+            ).encode("utf-8")
         ),
     )
 )

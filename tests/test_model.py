@@ -148,6 +148,59 @@ def test_name_xml_cannot_carry_rejected(document, message):
     assert str(raised.value) == f"{message}, which CQL cannot carry"
 
 
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        (
+            minimal_model(classes=[{"name": "A"}, {"name": "K L"}]),
+            "classes[1]: class name holds U+0020",
+        ),
+        (minimal_model(classes=[{"name": "K("}]), "classes[0]: class name holds U+0028"),
+        (
+            minimal_model(
+                classes=[{"name": "A", "attributes": [{"name": "a\u2028b", "datatype": "string"}]}]
+            ),
+            "classes[0].attributes[0]: attribute name holds U+2028",
+        ),
+        (
+            minimal_model(
+                classes=[{"name": "A"}],
+                associations=[{"source": "A", "roleName": "r)", "target": "A"}],
+            ),
+            "associations[0]: roleName holds U+0029",
+        ),
+        (
+            minimal_model(classes=[{"name": "A", "annotation": {"primary": "Gene Symbol"}}]),
+            "classes[0]: annotation concept name holds U+0020",
+        ),
+        (
+            minimal_model(
+                classes=[
+                    {
+                        "name": "A",
+                        "attributes": [
+                            {
+                                "name": "x",
+                                "datatype": "string",
+                                "annotation": {"primary": "G", "qualifiers": ["Q", "\xa0Q"]},
+                            }
+                        ],
+                    }
+                ]
+            ),
+            "classes[0].attributes[0]: annotation concept name holds U+00A0",
+        ),
+    ],
+    ids=["class-space", "class-paren", "attribute", "roleName", "primary", "qualifier"],
+)
+def test_name_the_ontology_text_cannot_carry_rejected(document, message):
+    # parse_axioms reads a name as one run outside whitespace, ( and ), so
+    # ontogen's output would not read back
+    with pytest.raises(ModelLoadError) as raised:
+        load_model(document)
+    assert str(raised.value) == f"{message}, which the ontology text cannot carry"
+
+
 def test_cabio_class_renamed_with_backspace_rejected():
     # renamed in its class, its association ends and its superclass references
     document = (FIXTURES / "cabio_fragment.model.json").read_text(encoding="utf-8")
@@ -266,6 +319,27 @@ def test_malformed_thesaurus_line_rejected():
         load_thesaurus("FROB A B\n")
     with pytest.raises(ThesaurusLoadError, match="expects two names"):
         load_thesaurus("CONCEPT A\nSUB A\n")
+
+
+@pytest.mark.parametrize(
+    "document, line, code",
+    [
+        ("CONCEPT A(\nCONCEPT B)\nSUB A( B)\n", 1, "0028"),
+        ("# (\nCONCEPT A\nCONCEPT x)y(\n", 3, "0029"),
+        ("CONCEPT A\nCONCEPT A)\n", 2, "0029"),
+    ],
+)
+def test_concept_name_with_a_parenthesis_rejected(document, line, code):
+    # parse_axioms would read the module's SubClassOf(n:A( n:B)) as a stray '('
+    with pytest.raises(ThesaurusLoadError) as raised:
+        load_thesaurus(document)
+    message = f"line {line}: concept name holds U+{code}, which the ontology text cannot carry"
+    assert (raised.value.line, str(raised.value)) == (line, message)
+
+
+def test_parentheses_in_a_comment_are_legal():
+    thesaurus = load_thesaurus("# Concepts (the caBIO ones)\n  #SUB A( B\nCONCEPT A\n")
+    assert thesaurus.concepts == ("A",)
 
 
 @pytest.mark.parametrize("line", ["CONCEPT", "CONCEPT A B"])
