@@ -256,9 +256,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_rewrite.add_argument("--out", help="output directory (default: stdout)")
     p_rewrite.set_defaults(run=cmd_rewrite)
 
-    p_metrics = sub.add_parser("metrics", help="path-complexity metrics for a model")
+    p_metrics = sub.add_parser(
+        "metrics",
+        help="path-complexity metrics for a model",
+        description="Enumerate every simple association path of the model within the node "
+        "budget. No candidate bound applies, so a densely associated model takes time "
+        "exponential in the budget.",
+    )
     p_metrics.add_argument("--model", required=True)
-    p_metrics.add_argument("--max-nodes", type=_positive_int, default=16)
+    p_metrics.add_argument(
+        "--max-nodes", type=_positive_int, default=16, help="path node budget (no other bound)"
+    )
     p_metrics.add_argument("--format", choices=("table", "csv"), default="table")
     p_metrics.add_argument("--out", help="output directory (default: stdout)")
     p_metrics.set_defaults(run=cmd_metrics)

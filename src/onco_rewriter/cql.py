@@ -188,6 +188,9 @@ def _walk(query: CqlQuery) -> tuple[list[str], list[str]]:
         body = "".join(f"\n  <ns1:AttributeNames>{n}</ns1:AttributeNames>" for n in names)
         lines.append(head + (f">{body}\n </ns1:QueryModifier>" if names else "/>"))
     lines.append("</ns1:CQLQuery>")
+    # element and node refer to each other: unbound, they are freed now, not
+    # by a cycle collection landing on a later query
+    del element, node
     return violations, lines
 
 

@@ -23,6 +23,11 @@ Query texts use a small class-expression grammar::
 Letters and digits are what ``str.isalpha`` and ``str.isalnum`` accept, and
 whitespace is what ``str.isspace`` accepts. Names are thesaurus concept
 identifiers and keywords are case-sensitive.
+
+A rewrite leaves no reference cycle behind: a recursive helper either lives
+at module level or is unbound before its function returns. Garbage in a
+cycle waits for the cycle collector, whose passes land on whichever later
+query crosses its allocation threshold.
 """
 
 from __future__ import annotations
@@ -113,8 +118,11 @@ class NestingLimitError(PipelineError):
 
 
 class CandidateLimitError(PipelineError):
-    def __init__(self, stage: str, count: int, limit: int):
-        super().__init__(stage, f"candidate count {count} exceeds limit {limit}")
+    """``at_least``: a path walk stopped at the limit, so ``count`` is a lower bound."""
+
+    def __init__(self, stage: str, count: int, limit: int, at_least: bool = False):
+        bound = "at least " if at_least else ""
+        super().__init__(stage, f"candidate count {bound}{count} exceeds limit {limit}")
 
 
 class MccError(PipelineError):
@@ -314,31 +322,32 @@ def _check_structure(root: QueryNode) -> None:
     """Shape constraints beyond the grammar: each class context names exactly
     one concept, data values live only under attribute restrictions, and an
     attribute restriction combines one concept with data values only."""
+    _check_class_context(root, "the query")
 
-    def class_context(node: QueryNode, where: str) -> None:
-        concepts = [p for p in _parts(node) if isinstance(p, ConceptRef)]
-        if len(concepts) != 1:
-            raise QuerySyntaxError(f"{where} must name exactly one concept")
-        # a ConceptRef needs no check, and the parser builds no other part (nor And in And)
-        for part in _parts(node):
-            if isinstance(part, HasAssociationSome):
-                class_context(part.inner, "an association target")
-            elif isinstance(part, HasAttributeSome):
-                attribute_context(part.inner)
-            elif isinstance(part, HasValueEquals):
-                raise QuerySyntaxError("hasValue is only allowed inside a hasAttribute restriction")
 
-    def attribute_context(node: QueryNode) -> None:
-        concepts = [p for p in _parts(node) if isinstance(p, ConceptRef)]
-        if len(concepts) != 1:
-            raise QuerySyntaxError("an attribute restriction must name exactly one concept")
-        for part in _parts(node):
-            if not isinstance(part, (ConceptRef, HasValueEquals)):
-                raise QuerySyntaxError(
-                    "an attribute restriction may only combine a concept with data values"
-                )
+def _check_class_context(node: QueryNode, where: str) -> None:
+    concepts = [p for p in _parts(node) if isinstance(p, ConceptRef)]
+    if len(concepts) != 1:
+        raise QuerySyntaxError(f"{where} must name exactly one concept")
+    # a ConceptRef needs no check, and the parser builds no other part (nor And in And)
+    for part in _parts(node):
+        if isinstance(part, HasAssociationSome):
+            _check_class_context(part.inner, "an association target")
+        elif isinstance(part, HasAttributeSome):
+            _check_attribute_context(part.inner)
+        elif isinstance(part, HasValueEquals):
+            raise QuerySyntaxError("hasValue is only allowed inside a hasAttribute restriction")
 
-    class_context(root, "the query")
+
+def _check_attribute_context(node: QueryNode) -> None:
+    concepts = [p for p in _parts(node) if isinstance(p, ConceptRef)]
+    if len(concepts) != 1:
+        raise QuerySyntaxError("an attribute restriction must name exactly one concept")
+    for part in _parts(node):
+        if not isinstance(part, (ConceptRef, HasValueEquals)):
+            raise QuerySyntaxError(
+                "an attribute restriction may only combine a concept with data values"
+            )
 
 
 def parse_query(text: str) -> QueryNode:
@@ -423,26 +432,30 @@ def extract_uml(ast: QueryNode, index: SubsumptionIndex) -> LazyProduct:
             collect(node.inner, True)
 
     collect(ast, False)
-
-    def rebuild(node: QueryNode, attribute_position: bool, chosen) -> QueryNode:
-        if isinstance(node, ConceptRef):
-            name = next(chosen)
-            return UmlAttributeRef(name) if attribute_position else UmlClassRef(name)
-        if isinstance(node, And):
-            return And(tuple(rebuild(i, attribute_position, chosen) for i in node.items))
-        if isinstance(node, HasAssociationSome):
-            return HasAssociationSome(rebuild(node.inner, False, chosen))
-        if isinstance(node, HasAttributeSome):
-            return HasAttributeSome(rebuild(node.inner, True, chosen))
-        return node
+    del collect  # no reference cycle is left (module docstring)
 
     def build(combo: tuple[str, ...]) -> CandidateQuery:
         choices = tuple((concept, name) for (concept, _), name in zip(occurrences, combo))
         return CandidateQuery(
-            ast=rebuild(ast, False, iter(combo)), provenance=Provenance(concept_choices=choices)
+            ast=_resolve(ast, False, iter(combo)), provenance=Provenance(concept_choices=choices)
         )
 
     return LazyProduct([matches for _, matches in occurrences], build)
+
+
+def _resolve(node: QueryNode, attribute_position: bool, chosen) -> QueryNode:
+    """``node`` with each concept reference replaced by the next class name
+    of ``chosen``, in ``extract_uml``'s order."""
+    if isinstance(node, ConceptRef):
+        name = next(chosen)
+        return UmlAttributeRef(name) if attribute_position else UmlClassRef(name)
+    if isinstance(node, And):
+        return And(tuple(_resolve(i, attribute_position, chosen) for i in node.items))
+    if isinstance(node, HasAssociationSome):
+        return HasAssociationSome(_resolve(node.inner, False, chosen))
+    if isinstance(node, HasAttributeSome):
+        return HasAttributeSome(_resolve(node.inner, True, chosen))
+    return node
 
 
 # --- data value extraction / re-addition -------------------------------------
@@ -500,7 +513,9 @@ def extract_data_values(ast: QueryNode) -> tuple[QueryNode, list[ValueBinding]]:
             raise PipelineError("valueExtract", "data value must be conjoined with a concept")
         return node
 
-    return walk(ast, False, False), bindings
+    stripped = walk(ast, False, False)
+    del walk  # no reference cycle is left (module docstring)
+    return stripped, bindings
 
 
 def reinsert_data_values(ast: QueryNode, bindings: list[ValueBinding]) -> QueryNode:
@@ -528,6 +543,7 @@ def reinsert_data_values(ast: QueryNode, bindings: list[ValueBinding]) -> QueryN
         return node
 
     result = walk(ast)
+    del walk  # no reference cycle is left (module docstring)
     if pending:
         raise PipelineError(
             "valueReinsert", "binding address unresolvable: no matching attribute restriction"
@@ -579,6 +595,7 @@ def _relations(node: QueryNode) -> list[tuple[str, str, str]]:
                 walk(part.inner, _context_class(part.inner))
 
     walk(node, _context_class(node))
+    del walk  # no reference cycle is left (module docstring)
     return relations
 
 
@@ -611,15 +628,14 @@ def _association_paths(
     index: SubsumptionIndex,
     pairs: list[tuple[str, str]],
     max_nodes: int,
-    found: dict[tuple[str, str], list[AssociationPath]],
+    cap: int | None,
 ) -> list[tuple[str, str, list[AssociationPath]]]:
-    """Each (source, target) of ``pairs`` with ``find_paths``' result for it,
-    memoised in ``found``; NoPathError at the first pair without a path."""
+    """Each (source, target) of ``pairs`` with ``find_paths``' result for it
+    under ``cap``; NoPathError at the first pair without a path, so a pair
+    without a path drops a combination before any count is compared."""
     occurrences = []
     for source, target in pairs:
-        paths = found.get((source, target))
-        if paths is None:
-            paths = found[source, target] = find_paths(index, source, target, max_nodes)
+        paths = find_paths(index, source, target, max_nodes, cap)
         if not paths:
             raise NoPathError(source, target)
         occurrences.append((source, target, paths))
@@ -630,23 +646,16 @@ def find_property_paths(
     stripped: QueryNode,
     index: SubsumptionIndex,
     max_nodes: int = 16,
-    found: dict[tuple[str, str], list[AssociationPath]] | None = None,
+    cap: int | None = None,
 ) -> LazyProduct:
     """Replace every transitive-association restriction by each concrete role
     chain that realizes it; independent occurrences multiply out in the path
-    order of the reasoner. ``found`` memoises ``find_paths`` per (source,
-    target) across calls made with the same index and ``max_nodes``."""
+    order of the reasoner. Each occurrence's walk stops past ``cap`` paths
+    (``find_paths``), so a product holding a list longer than ``cap`` is
+    only counted, never built; without a cap every path is listed."""
     relations = _relations(stripped)
     pairs = [(source, target) for kind, source, target in relations if kind == "association"]
-    occurrences = _association_paths(index, pairs, max_nodes, {} if found is None else found)
-
-    def rebuild(node: QueryNode, chosen) -> QueryNode:
-        if isinstance(node, And):
-            return And(tuple(rebuild(i, chosen) for i in node.items))
-        if isinstance(node, HasAssociationSome):
-            path = next(chosen)
-            return _chain_from_path(path, rebuild(node.inner, chosen))
-        return node
+    occurrences = _association_paths(index, pairs, max_nodes, cap)
 
     def build(combo: tuple[AssociationPath, ...]) -> CandidateQuery:
         path_choices = tuple(
@@ -654,21 +663,41 @@ def find_property_paths(
             for (source, target, _), path in zip(occurrences, combo)
         )
         return CandidateQuery(
-            ast=rebuild(stripped, iter(combo)), provenance=Provenance(path_choices=path_choices)
+            ast=_expand(stripped, iter(combo)), provenance=Provenance(path_choices=path_choices)
         )
 
     return LazyProduct([paths for _, _, paths in occurrences], build)
 
 
-def cql_depth(resolved: QueryNode, expansions: LazyProduct) -> int:
+def _expand(node: QueryNode, chosen) -> QueryNode:
+    """``node`` with each association restriction replaced by the chain of
+    the next path of ``chosen``, in ``find_property_paths``' order."""
+    if isinstance(node, And):
+        return And(tuple(_expand(i, chosen) for i in node.items))
+    if isinstance(node, HasAssociationSome):
+        path = next(chosen)
+        return _chain_from_path(path, _expand(node.inner, chosen))
+    return node
+
+
+def cql_depth(
+    resolved: QueryNode, expansions: LazyProduct, max_nodes: int = 16, cap: int | None = None
+) -> int:
     """The most elements ``to_xml`` nests under Target for any expansion of
     the resolved query, counting one per Association, Group and Attribute.
     ``expansions`` is ``find_property_paths``' result for ``resolved`` with
-    its data values stripped; its occurrences come in preorder. Only path
-    lengths vary between expansions, so the deepest one takes each
-    occurrence's longest path. No class name is read, so the parsed query
-    gives the depth of each of its resolutions."""
-    longest = (max(len(path.steps) for path in paths) for paths in expansions.choices)
+    its data values stripped, walked under ``max_nodes`` and ``cap``; its
+    occurrences come in preorder. Only path lengths vary between expansions,
+    so the deepest one takes each occurrence's longest path. An occurrence
+    holding more than ``cap`` paths was cut short, so it takes the walk's
+    bound, ``max_nodes - 1`` steps, instead. No class name is read, so the
+    parsed query gives the depth of each of its resolutions."""
+    longest = (
+        max_nodes - 1
+        if cap is not None and len(paths) > cap
+        else max(len(path.steps) for path in paths)
+        for paths in expansions.choices
+    )
 
     def height(node: QueryNode) -> int:
         heights = []
@@ -680,17 +709,23 @@ def cql_depth(resolved: QueryNode, expansions: LazyProduct) -> int:
         # one item sits directly under its parent; two or more go in a Group
         return 1 + max(heights) if len(heights) > 1 else sum(heights)
 
-    return height(resolved)
+    depth = height(resolved)
+    del height  # no reference cycle is left (module docstring)
+    return depth
 
 
-def check_cql_nesting(resolved: QueryNode, expansions: LazyProduct, max_nodes: int) -> None:
+def check_cql_nesting(
+    resolved: QueryNode, expansions: LazyProduct, max_nodes: int, cap: int | None = None
+) -> None:
     """Raise NestingLimitError when an expansion would serialize to CQL
-    nested deeper than ``cql.parse_xml`` accepts."""
+    nested deeper than ``cql.parse_xml`` accepts. A walk cut at ``cap``
+    counts at its bound (``cql_depth``), so this error wins over the
+    candidate limit that the cut walk will trip."""
     # without a walk: each occurrence adds at most max_nodes - 1 Associations
     # and one Group, and the query's own context a Group and an Attribute
     if len(expansions.choices) * max_nodes + 2 <= CQL_MAX_NESTING:
         return
-    depth = cql_depth(resolved, expansions)
+    depth = cql_depth(resolved, expansions, max_nodes, cap)
     if depth > CQL_MAX_NESTING:
         raise NestingLimitError(depth)
 
@@ -811,6 +846,7 @@ def to_mcc(ast: QueryNode, naming: ModelNaming) -> MccComprehension:
     head_var = alloc.fresh(head_class)
     qualifiers.insert(0, ExtentGenerator(var=head_var, class_name=head_class))
     visit(ast, head_var)
+    del visit  # no reference cycle is left (module docstring)
     return MccComprehension(head_var=head_var, qualifiers=tuple(qualifiers))
 
 
@@ -885,6 +921,7 @@ def mcc_to_cql(comprehension: MccComprehension, model: UMLModel) -> CqlQuery:
         return CqlGroup(logical_op="AND", items=tuple(items))
 
     target = CqlTarget(name=qualified(classes[head.var]), child=assemble(head.var))
+    del assemble  # no reference cycle is left (module docstring)
     return CqlQuery(target=target)
 
 
@@ -1018,12 +1055,21 @@ def prepare_context(model: UMLModel, thesaurus: Thesaurus) -> RewriteContext:
     return RewriteContext(model=model, naming=naming, index=index)
 
 
+def _check_count(expansions: LazyProduct, planned: int, limit: int) -> None:
+    """CandidateLimitError when ``planned`` plus the product's size passes
+    ``limit``. Its paths were walked under the cap ``limit - planned``, so a
+    list longer than that was cut, and the count is then a lower bound."""
+    budget = limit - planned
+    if expansions.size > budget:
+        cut = any(len(paths) > budget for paths in expansions.choices)
+        raise CandidateLimitError("pathFind", planned + expansions.size, limit, cut)
+
+
 def _plan(
     ast: QueryNode,
     candidates: LazyProduct,
     index: SubsumptionIndex,
     options: RewriteOptions,
-    found: dict[tuple[str, str], list[AssociationPath]],
     timed: Callable,
 ) -> tuple[list[tuple[str, ...]], list[tuple[Provenance, str]]]:
     """The combinations of ``extract_uml``'s product worth building, in
@@ -1033,7 +1079,9 @@ def _plan(
     missing path and expansion count come from tables holding each distinct
     class pair once. Raises the last drop's error when every combination is
     dropped, and CandidateLimitError (on the running expansion count) or
-    NestingLimitError at the first combination that trips it."""
+    NestingLimitError at the first combination that trips it. Each pair's
+    walk stops past the budget the limit leaves, and every pair of a
+    combination is walked before its count is compared."""
     # at most candidate_limit combinations: all are validated before any path
     combos = list(itertools.product(*candidates.choices))
     related: dict[tuple[str, str, str], bool] = {}
@@ -1066,13 +1114,14 @@ def _plan(
         planned = 0
         last_error: PipelineError | None = None
         for combo, failures in zip(combos, rejected):
+            budget = options.candidate_limit - planned
             error: PipelineError | None = None
             if failures:
                 error = ValidationRejectedError(tuple(failures))
             else:
                 pairs = [(combo[i], combo[j]) for i, j in associations]
                 try:
-                    occurrences = _association_paths(index, pairs, options.max_nodes, found)
+                    occurrences = _association_paths(index, pairs, options.max_nodes, budget)
                 except NoPathError as no_path:
                     error = no_path
             if error is not None:
@@ -1081,10 +1130,9 @@ def _plan(
                 continue
             # the paths each occurrence may take; no expansion is built from them
             expansions = LazyProduct([paths for *_, paths in occurrences], tuple)
-            check_cql_nesting(ast, expansions, options.max_nodes)
+            check_cql_nesting(ast, expansions, options.max_nodes, budget)
+            _check_count(expansions, planned, options.candidate_limit)
             planned += expansions.size
-            if planned > options.candidate_limit:
-                raise CandidateLimitError("pathFind", planned, options.candidate_limit)
             survivors.append(combo)
         if not survivors:
             raise last_error
@@ -1099,13 +1147,15 @@ def rewrite_prepared(
     """Run the eight rewriting stages over a prepared context, in two phases.
 
     The plan checks every UML candidate and counts the expansions, building
-    none; the candidate limit is checked on the running count. With several
-    candidates, ``_plan`` checks each from per-pair tables, and only the
-    survivors are resolved and run through valueExtract and pathFind. A lone
-    candidate shares no pair with another, so it is resolved and checked
-    directly: valueExtract, validate, pathFind. The build then runs
-    valueReinsert, mcc and cql for every expansion, or only for the first
-    under ``selection="first"``. So a later candidate's plan error
+    none; the candidate limit is checked on the running count, and every
+    path walk stops past the budget the limit leaves. Each class pair's
+    paths are listed once per context (``find_paths`` keeps them on the
+    index). With several candidates, ``_plan`` checks each from per-pair
+    tables, and only the survivors are resolved and run through valueExtract
+    and pathFind. A lone candidate shares no pair with another, so it is
+    resolved and checked directly: valueExtract, validate, pathFind. The
+    build then runs valueReinsert, mcc and cql for every expansion, or only
+    for the first under ``selection="first"``. So a later candidate's plan error
     (``CandidateLimitError``, ``NestingLimitError``) is raised before an
     earlier candidate's build error (``MccError``, an unresolvable binding);
     the build errors signal broken internal invariants, not rejected input.
@@ -1123,21 +1173,21 @@ def rewrite_prepared(
 
     ast = timed("parse", parse_query, text)
     candidates = timed("umlExtract", extract_uml, ast, context.index)
-    if candidates.size > options.candidate_limit:
-        raise CandidateLimitError("umlExtract", candidates.size, options.candidate_limit)
+    limit = options.candidate_limit
+    if candidates.size > limit:
+        raise CandidateLimitError("umlExtract", candidates.size, limit)
 
     first = options.selection == "first"
     plans: list[tuple[CandidateQuery, QueryNode, list[ValueBinding], LazyProduct]] = []
-    found: dict[tuple[str, str], list[AssociationPath]] = {}
     dropped: list[tuple[Provenance, str]] = []
     if candidates.size > 1:
-        survivors, dropped = _plan(ast, candidates, context.index, options, found, timed)
+        survivors, dropped = _plan(ast, candidates, context.index, options, timed)
         # every survivor has at least one expansion, so "first" builds one
         built = timed("umlExtract", list, map(candidates.build, survivors[: 1 if first else None]))
         for candidate in built:
             stripped, bindings = timed("valueExtract", extract_data_values, candidate.ast)
             expansions = timed(
-                "pathFind", find_property_paths, stripped, context.index, options.max_nodes, found
+                "pathFind", find_property_paths, stripped, context.index, options.max_nodes, limit
             )
             plans.append((candidate, stripped, bindings, expansions))
     else:
@@ -1147,11 +1197,10 @@ def rewrite_prepared(
         if not outcome.ok:
             raise ValidationRejectedError(outcome.failures)
         expansions = timed(
-            "pathFind", find_property_paths, stripped, context.index, options.max_nodes, found
+            "pathFind", find_property_paths, stripped, context.index, options.max_nodes, limit
         )
-        timed("pathFind", check_cql_nesting, candidate.ast, expansions, options.max_nodes)
-        if expansions.size > options.candidate_limit:
-            raise CandidateLimitError("pathFind", expansions.size, options.candidate_limit)
+        timed("pathFind", check_cql_nesting, candidate.ast, expansions, options.max_nodes, limit)
+        _check_count(expansions, 0, limit)
         plans.append((candidate, stripped, bindings, expansions))
 
     results: list[RewriteResult] = []

@@ -29,7 +29,11 @@ query over the transitive association abstraction can be rewritten into
 every concrete role chain that realizes it. The walk keeps its own stack, so
 the budget, not the interpreter's recursion limit, bounds the path length;
 it extends a path only toward a match it can still reach within the budget,
-and a final sort fixes the order of the paths it finds.
+and a final sort fixes the order of the paths it finds. A caller may cap the
+walk: it then stops one path past the cap, since counting simple paths has
+no cheap shortcut. The complete lists of capped walks are kept on the index
+per (source, target, node budget), so a prepared model lists each pair's
+paths once, and no kept list is longer than the cap it was walked under.
 """
 
 from __future__ import annotations
@@ -90,6 +94,10 @@ class SubsumptionIndex:
     # per queried target: the classes matching it, and the fewest association
     # steps (at least one) from a class to one of them
     toward: dict[str, tuple[frozenset[str], dict[str, int]]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+    # complete path lists walked under a cap, per (source, target, max_nodes)
+    paths: dict[tuple[str, str, int], tuple[AssociationPath, ...]] = field(
         default_factory=dict, compare=False, repr=False
     )
 
@@ -249,7 +257,11 @@ def association_reachable(index: SubsumptionIndex, source: str, target: str) -> 
 
 
 def find_paths(
-    index: SubsumptionIndex, source: str, target: str, max_nodes: int = 16
+    index: SubsumptionIndex,
+    source: str,
+    target: str,
+    max_nodes: int = 16,
+    cap: int | None = None,
 ) -> list[AssociationPath]:
     """All simple association paths from source to a class matching target.
 
@@ -257,22 +269,34 @@ def find_paths(
     matches target polymorphically. The walk is depth-first over an explicit
     stack, taking edges in stored order. It extends a path through a range
     only when the fewest steps from that range to a match (the target's
-    memoised distance table) still fit in the node budget, so it never walks
-    toward a match it cannot reach. The results are then sorted by node
+    memoised distance table) still fit in the node budget, and only while a
+    match off the path is left to end at, so it never walks toward a match
+    it cannot reach. The results are then sorted by node
     count, then lexicographically by property and range names, a key that
     tells any two paths apart.
+
+    With a ``cap``, the walk stops once it holds ``cap + 1`` paths and
+    returns those unsorted, so ``len(paths) > cap`` reads "more than cap". A
+    complete list walked under a cap is kept in ``index.paths``, and a kept
+    list answers every later call for its (source, target, max_nodes), cut
+    to ``cap + 1`` paths under a smaller cap. A cut list is never kept.
     """
+    key = (source, target, max_nodes)
+    kept = index.paths.get(key)
+    if kept is not None:
+        return list(kept[: None if cap is None else cap + 1])
     if max_nodes < 2:
         raise ValueError("max_nodes must be at least 2")
     _require_known(index, source, target)
 
     matches, need = _toward(index, target)
-    if source not in need:
-        return []
+    edges_into = index.edges_into
+    # the matches a path can still end at: ranges, and off the path
+    open_ends = sum(1 for name in matches if name in edges_into and name != source)
     found: list[AssociationPath] = []
     steps: list[tuple[str, str]] = []
     visited: set[str] = {source}
-    stack = [iter(index.assoc_edges[source])]
+    stack = [iter(index.assoc_edges[source])] if source in need else []
     while stack:
         # the most steps a range taken next may still need to reach a match
         room = max_nodes - len(steps) - 2
@@ -281,14 +305,21 @@ def find_paths(
                 continue
             if rng in matches:
                 found.append(AssociationPath(source_class=source, steps=(*steps, (prop, rng))))
-            if need.get(rng, max_nodes) <= room:
+                if cap is not None and len(found) > cap:
+                    return found
+            if need.get(rng, max_nodes) <= room and open_ends > (rng in matches):
                 steps.append((prop, rng))
                 visited.add(rng)
+                open_ends -= rng in matches
                 stack.append(iter(index.assoc_edges[rng]))
                 break
         else:
             stack.pop()
             if steps:
-                visited.discard(steps.pop()[1])
+                rng = steps.pop()[1]
+                visited.discard(rng)
+                open_ends += rng in matches
     found.sort(key=lambda p: (p.node_count, p.properties, p.nodes))
+    if cap is not None:
+        index.paths[key] = tuple(found)
     return found

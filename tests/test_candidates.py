@@ -71,7 +71,9 @@ def test_path_limit_builds_no_chain(monkeypatch):
     parallel = context([annotated("S", "CS"), annotated("T", "CT")], roles, ["CS", "CT"])
     chains = calls_to(monkeypatch, "_chain_from_path")
     query = "CS and hasAssociation some (CT)"
-    with pytest.raises(CandidateLimitError, match="candidate count 3 exceeds limit 2") as info:
+    # the walk stops one path past the limit, so the count is a lower bound
+    cut = "candidate count at least 3 exceeds limit 2"
+    with pytest.raises(CandidateLimitError, match=cut) as info:
         rewrite_prepared(parallel, query, RewriteOptions(candidate_limit=2))
     assert info.value.stage == "pathFind"
     assert chains == []

@@ -2,12 +2,13 @@
 
 ``rewrite``, ``classify``, ``metrics``, ``ontogen``, ``module`` and ``bench``
 (one repetition over a drawn query suite) run in-process through
-``cli.main`` on three kinds of input: small model JSON (at most six classes,
-so that path search stays small) with fields swapped for an int, null,
-string, list, object or a deeply nested array, or dropped; thesaurus text of
-random lines over the keywords, the model's concept names and junk; and
-files whose bytes are not UTF-8. Exit 3 is a fault of the program, whatever
-the input, and each example must finish within the deadline. On every drawn
+``cli.main`` on three kinds of input: small model JSON (at most twelve
+classes, as the candidate limit stops every path walk) with fields swapped
+for an int, null, string, list, object or a deeply nested array, or
+dropped; thesaurus text of random lines over the keywords, the model's
+concept names and junk; and files whose bytes are not UTF-8. Exit 3 is a
+fault of the program, whatever the input, and each example must finish
+within the deadline. On every drawn
 document, ``ontogen`` and ``classify`` also give the same exit code and the
 same ``error:`` line: ``ontogen`` renders the model's axioms, while
 ``classify`` prepares the index from the model's facts, so the two reach the
@@ -34,7 +35,7 @@ from onco_rewriter.cql import CQL_NAMESPACE, CqlQuery, CqlXmlError, parse_xml
 CONCEPTS = ("Ca", "Cb", "Cc", "Cd")
 # names whose generated names can collide: class A_r and attribute A.r, or
 # associations A_r.s and A.r_s to one target
-CLASS_NAMES = ("A", "B", "C", "A_r", "D", "E")
+CLASS_NAMES = ("A", "B", "C", "A_r", "D", "E", "F", "G", "B_s", "H", "I", "J")
 MEMBER_NAMES = ("x", "r", "r_s", "s")
 DEEP = "@@deep@@"
 DROP = object()
@@ -64,7 +65,7 @@ junk = st.one_of(
 
 @st.composite
 def models(draw) -> dict:
-    names = draw(st.lists(st.sampled_from(CLASS_NAMES), min_size=1, max_size=6, unique=True))
+    names = draw(st.lists(st.sampled_from(CLASS_NAMES), min_size=1, max_size=12, unique=True))
     classes = []
     for i, name in enumerate(names):
         members = st.lists(attributes, max_size=2, unique_by=lambda a: a["name"])

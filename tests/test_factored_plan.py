@@ -93,8 +93,15 @@ def test_nesting_error_wins_over_a_later_limit_error():
     with pytest.raises(NestingLimitError) as info:
         rewrite_prepared(chain_context(260, parallel=3), QUERY, options)
     assert info.value.stage == "pathFind"
-    # with B's chain short enough, C's paths trip the limit
-    with pytest.raises(CandidateLimitError, match="candidate count 4 exceeds limit 3"):
+    assert info.value.depth == 261  # B's one path, one Association per step
+    # with B's chain short enough, C's paths trip the limit; C's walk stops at
+    # the two paths the limit leaves room for, and under a node budget whose
+    # nesting the fast path cannot rule out, a cut walk counts at its bound
+    with pytest.raises(NestingLimitError) as info:
+        rewrite_prepared(chain_context(20, parallel=3), QUERY, options)
+    assert info.value.depth == 299
+    options = RewriteOptions(max_nodes=254, candidate_limit=3)
+    with pytest.raises(CandidateLimitError, match="candidate count at least 4 exceeds limit 3"):
         rewrite_prepared(chain_context(20, parallel=3), QUERY, options)
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import random
 
@@ -56,7 +57,7 @@ from onco_rewriter.pipeline import (
 )
 from onco_rewriter.synthetic import random_resolved_tree, resolve_seed
 
-from conftest import CABIO_QUERY
+from conftest import CABIO_QUERY, FIXTURES
 
 
 def context_from(classes, associations, thesaurus_lines):
@@ -935,3 +936,18 @@ def test_data_values_with_whitespace_controls_read_back(cabio_context):
     (result,) = rewrite_prepared(cabio_context, query).results
     assert parse_xml(to_xml(result.cql)) == result.cql
     assert result.cql.target.child.value == "a\tb\nc\rd\x7f\x85"
+
+
+def test_rewrite_leaves_no_reference_cycles(cabio_context):
+    """Recursive helpers live at module level or are unbound before their
+    function returns, so rewriting and writing the caBIO suite leaves no
+    cyclic garbage, whose collection would otherwise land on a later query."""
+    lines = (FIXTURES / "cabio.suite.txt").read_text(encoding="utf-8").splitlines()
+    queries = [line for line in lines if line.strip() and not line.startswith("#")]
+    for query in queries:  # fills the context's lazy tables first
+        rewrite_prepared(cabio_context, query)
+    gc.collect()
+    for query in queries:
+        outcome = rewrite_prepared(cabio_context, query)
+        assert [to_xml(result.cql) for result in outcome.results]
+    assert gc.collect() == 0
