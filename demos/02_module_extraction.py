@@ -7,6 +7,10 @@ whose left-hand side is relevant is kept and its right-hand side becomes
 relevant too. Disjointness axioms are removed first, because annotations
 mapped by subsumption may legitimately pull a class under two branches the
 thesaurus declares disjoint.
+
+Both steps work on (child, parent) concept pairs, one per thesaurus SUB line;
+the module is rendered as subsumption axioms only to be written out, as the
+``module`` and ``ontogen`` commands do.
 """
 
 from pathlib import Path
@@ -19,6 +23,7 @@ from onco_rewriter import (
     serialize_axioms,
     strip_disjoints,
 )
+from onco_rewriter.pipeline import thesaurus_module
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -37,5 +42,5 @@ print(f"after stripping disjointness: {len(stripped)} subsumption axioms")
 module = extract_module(stripped, model_signature(model))
 print(f"module for the model signature: {len(module)} axioms")
 print()
-print(serialize_axioms(module))
+print(serialize_axioms(thesaurus_module(model, thesaurus)))
 print("note: the Disease/Neoplasm branch is gone; nothing in the model refers to it")

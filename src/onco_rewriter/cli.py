@@ -31,14 +31,7 @@ from .metrics import (
     stage_timings,
 )
 from .model import InputError, Thesaurus, UMLModel, load_model, load_thesaurus
-from .ontology import (
-    AxiomSet,
-    Named,
-    SubClassOf,
-    generate_ontology,
-    model_prefixes,
-    serialize_axioms,
-)
+from .ontology import generate_ontology, model_prefixes, serialize_axioms, subclass_axioms
 from .pipeline import (
     PipelineError,
     Provenance,
@@ -131,15 +124,11 @@ def cmd_module(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     context = prepare_context(*_load(args))
-    inferred = [
-        SubClassOf(Named(sub), Named(sup))
-        for sub in sorted(context.index.subsumers)
-        for sup in sorted(context.index.subsumers[sub])
-        if sub != sup
-    ]
-    content = serialize_axioms(
-        AxiomSet(axioms=tuple(inferred), prefixes=model_prefixes(context.model))
+    subsumers = context.index.subsumers
+    inferred = (
+        (sub, sup) for sub in sorted(subsumers) for sup in sorted(subsumers[sub]) if sub != sup
     )
+    content = serialize_axioms(subclass_axioms(inferred, model_prefixes(context.model)))
     inferred_path = _write(args.out, "inferred.axioms", content)
     print(f"wrote {inferred_path}")
     return EXIT_OK

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -144,6 +144,11 @@ class AxiomSet:
         for position, axiom in enumerate(self.axioms):
             check_el_axiom(axiom, position, ignored, names)
         return frozenset(names)
+
+
+def subclass_axioms(pairs: Iterable[tuple[str, str]], prefixes: dict[str, str]) -> AxiomSet:
+    """One named-to-named ``SubClassOf`` per ``(sub, sup)`` name pair, in order."""
+    return AxiomSet(tuple(SubClassOf(Named(sub), Named(sup)) for sub, sup in pairs), prefixes)
 
 
 def merge_axiom_sets(*sets: AxiomSet) -> AxiomSet:
@@ -334,12 +339,12 @@ class Facts(NamedTuple):
     direct_attrs: dict[str, set[str]]
 
 
-def ontology_facts(model: UMLModel, module: AxiomSet) -> Facts:
+def ontology_facts(model: UMLModel, module: Iterable[tuple[str, str]]) -> Facts:
     """The Facts of ``generate_ontology(model)`` merged with a thesaurus
-    module, from ``model_facts`` and the module's named pairs, rendering no
-    axiom. The inherited copies are left out: classify inherits them. An
-    annotation gives its primary concept, and l:OWLList when it has
-    qualifiers, as superclasses; its qualifiers are names only."""
+    module, from ``model_facts`` and the module's ``(child, parent)`` concept
+    pairs, rendering no axiom. The inherited copies are left out: classify
+    inherits them. An annotation gives its primary concept, and l:OWLList
+    when it has qualifiers, as superclasses; its qualifiers are names only."""
     direct_sup: defaultdict[str, set[str]] = defaultdict(set)
     direct_edges: defaultdict[str, set[tuple[str, str]]] = defaultdict(set)
     direct_attrs: defaultdict[str, set[str]] = defaultdict(set)
@@ -356,8 +361,8 @@ def ontology_facts(model: UMLModel, module: AxiomSet) -> Facts:
             direct_attrs[subject].add(obj)
         elif predicate not in (HAS_VALUE, SUBPROPERTY_OF):
             direct_edges[subject].add((predicate, obj))
-    for axiom in module.axioms:
-        direct_sup[axiom.sub.name].add(axiom.sup.name)
+    for child, parent in module:
+        direct_sup[concept_name(child)].add(concept_name(parent))
     # edge ranges and attribute classes are classes with a superclass
     names = qualifiers.union(direct_sup, *direct_sup.values())
     return Facts(names, direct_sup, direct_edges, direct_attrs)

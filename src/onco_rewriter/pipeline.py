@@ -24,10 +24,10 @@ Letters and digits are what ``str.isalpha`` and ``str.isalnum`` accept, and
 whitespace is what ``str.isspace`` accepts. Names are thesaurus concept
 identifiers and keywords are case-sensitive.
 
-A rewrite leaves no reference cycle behind: a recursive helper either lives
-at module level or is unbound before its function returns. Garbage in a
-cycle waits for the cycle collector, whose passes land on whichever later
-query crosses its allocation threshold.
+A rewrite leaves no reference cycle behind, even when rejected: a recursive
+helper lives at module level or is unbound in a ``finally``, and no frame
+keeps an error whose traceback holds it. Cyclic garbage would wait for the
+collector, whose passes land on whichever later query crosses its threshold.
 """
 
 from __future__ import annotations
@@ -44,15 +44,18 @@ from .cql import NOT_XML, CqlAssociation, CqlAttribute, CqlGroup, CqlQuery, CqlT
 from .model import InputError, Thesaurus, UMLModel, model_signature
 from .module_extraction import extract_module, strip_disjoints
 from .ontology import (
+    DEFAULT_PREFIXES,
     UML_ATTRIBUTE,
     UML_CLASS,
     AxiomSet,
     ModelNaming,
     OntologyError,
+    concept_name,
     generate_ontology,  # noqa: F401 -- perfbench traces it through this namespace
     merge_axiom_sets,  # noqa: F401 -- likewise
     model_naming,
     ontology_facts,
+    subclass_axioms,
 )
 from .reasoner import (
     AssociationPath,
@@ -414,25 +417,7 @@ def extract_uml(ast: QueryNode, index: SubsumptionIndex) -> LazyProduct:
     concept's matches are sorted, so the product comes ordered
     lexicographically by the chosen names."""
     occurrences: list[tuple[str, list[str]]] = []
-
-    def collect(node: QueryNode, attribute_position: bool) -> None:
-        if isinstance(node, ConceptRef):
-            kind = UML_ATTRIBUTE if attribute_position else UML_CLASS
-            subs = index.subclasses.get(f"n:{node.name}", ())
-            matches = sorted(x for x in subs if x.startswith("c:") and kind in index.subsumers[x])
-            if not matches:
-                raise NoUmlCandidateError(node.name)
-            occurrences.append((node.name, matches))
-        elif isinstance(node, And):
-            for item in node.items:
-                collect(item, attribute_position)
-        elif isinstance(node, HasAssociationSome):
-            collect(node.inner, False)
-        elif isinstance(node, HasAttributeSome):
-            collect(node.inner, True)
-
-    collect(ast, False)
-    del collect  # no reference cycle is left (module docstring)
+    _collect_matches(ast, False, index, occurrences)
 
     def build(combo: tuple[str, ...]) -> CandidateQuery:
         choices = tuple((concept, name) for (concept, _), name in zip(occurrences, combo))
@@ -441,6 +426,25 @@ def extract_uml(ast: QueryNode, index: SubsumptionIndex) -> LazyProduct:
         )
 
     return LazyProduct([matches for _, matches in occurrences], build)
+
+
+def _collect_matches(
+    node: QueryNode, attribute_position: bool, index: SubsumptionIndex, occurrences: list
+) -> None:
+    if isinstance(node, ConceptRef):
+        kind = UML_ATTRIBUTE if attribute_position else UML_CLASS
+        subs = index.subclasses.get(f"n:{node.name}", ())
+        matches = sorted(x for x in subs if x.startswith("c:") and kind in index.subsumers[x])
+        if not matches:
+            raise NoUmlCandidateError(node.name)
+        occurrences.append((node.name, matches))
+    elif isinstance(node, And):
+        for item in node.items:
+            _collect_matches(item, attribute_position, index, occurrences)
+    elif isinstance(node, HasAssociationSome):
+        _collect_matches(node.inner, False, index, occurrences)
+    elif isinstance(node, HasAttributeSome):
+        _collect_matches(node.inner, True, index, occurrences)
 
 
 def _resolve(node: QueryNode, attribute_position: bool, chosen) -> QueryNode:
@@ -513,9 +517,10 @@ def extract_data_values(ast: QueryNode) -> tuple[QueryNode, list[ValueBinding]]:
             raise PipelineError("valueExtract", "data value must be conjoined with a concept")
         return node
 
-    stripped = walk(ast, False, False)
-    del walk  # no reference cycle is left (module docstring)
-    return stripped, bindings
+    try:
+        return walk(ast, False, False), bindings
+    finally:
+        del walk  # no reference cycle is left, on any exit (module docstring)
 
 
 def reinsert_data_values(ast: QueryNode, bindings: list[ValueBinding]) -> QueryNode:
@@ -582,21 +587,20 @@ def _relations(node: QueryNode) -> list[tuple[str, str, str]]:
     context walked right after it. The association relations, in this order,
     are also the occurrences that path finding expands."""
     relations: list[tuple[str, str, str]] = []
-
-    def walk(node: QueryNode, cls: str) -> None:
-        for part in _parts(node):
-            if isinstance(part, HasAttributeSome):
-                relations.append(("attribute", cls, _context_attribute(part.inner)))
-            elif isinstance(part, HasAssociationSome):
-                target = _context_class(part.inner)
-                relations.append(("association", cls, target))
-                walk(part.inner, target)
-            elif isinstance(part, AssocStep):
-                walk(part.inner, _context_class(part.inner))
-
-    walk(node, _context_class(node))
-    del walk  # no reference cycle is left (module docstring)
+    _add_relations(node, _context_class(node), relations)
     return relations
+
+
+def _add_relations(node: QueryNode, cls: str, relations: list[tuple[str, str, str]]) -> None:
+    for part in _parts(node):
+        if isinstance(part, HasAttributeSome):
+            relations.append(("attribute", cls, _context_attribute(part.inner)))
+        elif isinstance(part, HasAssociationSome):
+            target = _context_class(part.inner)
+            relations.append(("association", cls, target))
+            _add_relations(part.inner, target, relations)
+        elif isinstance(part, AssocStep):
+            _add_relations(part.inner, _context_class(part.inner), relations)
 
 
 def _related(index: SubsumptionIndex, kind: str, source: str, target: str) -> bool:
@@ -681,7 +685,11 @@ def _expand(node: QueryNode, chosen) -> QueryNode:
 
 
 def cql_depth(
-    resolved: QueryNode, expansions: LazyProduct, max_nodes: int = 16, cap: int | None = None
+    resolved: QueryNode,
+    expansions: LazyProduct,
+    max_nodes: int = 16,
+    cap: int | None = None,
+    index: SubsumptionIndex | None = None,
 ) -> int:
     """The most elements ``to_xml`` nests under Target for any expansion of
     the resolved query, counting one per Association, Group and Attribute.
@@ -689,11 +697,13 @@ def cql_depth(
     its data values stripped, walked under ``max_nodes`` and ``cap``; its
     occurrences come in preorder. Only path lengths vary between expansions,
     so the deepest one takes each occurrence's longest path. An occurrence
-    holding more than ``cap`` paths was cut short, so it takes the walk's
-    bound, ``max_nodes - 1`` steps, instead. No class name is read, so the
+    holding more than ``cap`` paths was cut short, so it takes a bound
+    instead: ``max_nodes - 1`` steps, or fewer when its source reaches fewer
+    other classes (``index.reach``, filled when the pair was validated), as
+    a simple path visits each at most once. No class name is read, so the
     parsed query gives the depth of each of its resolutions."""
     longest = (
-        max_nodes - 1
+        min(max_nodes - 1, len(index.reach[paths[0].source_class] - {paths[0].source_class}))
         if cap is not None and len(paths) > cap
         else max(len(path.steps) for path in paths)
         for paths in expansions.choices
@@ -715,17 +725,17 @@ def cql_depth(
 
 
 def check_cql_nesting(
-    resolved: QueryNode, expansions: LazyProduct, max_nodes: int, cap: int | None = None
+    resolved: QueryNode, expansions: LazyProduct, max_nodes: int, cap: int, index: SubsumptionIndex
 ) -> None:
     """Raise NestingLimitError when an expansion would serialize to CQL
     nested deeper than ``cql.parse_xml`` accepts. A walk cut at ``cap``
-    counts at its bound (``cql_depth``), so this error wins over the
-    candidate limit that the cut walk will trip."""
+    counts at its bound (``cql_depth``, which reads ``index``), so this
+    error wins over the candidate limit that the cut walk will trip."""
     # without a walk: each occurrence adds at most max_nodes - 1 Associations
     # and one Group, and the query's own context a Group and an Attribute
     if len(expansions.choices) * max_nodes + 2 <= CQL_MAX_NESTING:
         return
-    depth = cql_depth(resolved, expansions, max_nodes, cap)
+    depth = cql_depth(resolved, expansions, max_nodes, cap, index)
     if depth > CQL_MAX_NESTING:
         raise NestingLimitError(depth)
 
@@ -825,18 +835,11 @@ def to_mcc(ast: QueryNode, naming: ModelNaming) -> MccComprehension:
             elif isinstance(part, UmlClassRef):
                 continue
             elif isinstance(part, HasAttributeSome):
-                attr_class = _context_attribute(part.inner)
-                attr_name = naming.attribute_of(attr_class)
+                attr_name = naming.attribute_of(_context_attribute(part.inner))
                 for sub in _parts(part.inner):
                     if isinstance(sub, HasValueEquals):
-                        qualifiers.append(
-                            Filter(
-                                var=var,
-                                attribute_name=attr_name,
-                                predicate=_predicate_for(sub.literal),
-                                literal=sub.literal,
-                            )
-                        )
+                        predicate = _predicate_for(sub.literal)
+                        qualifiers.append(Filter(var, attr_name, predicate, sub.literal))
             elif isinstance(part, HasAssociationSome):
                 raise MccError("unexpanded association restriction")
             elif isinstance(part, HasValueEquals):
@@ -845,8 +848,10 @@ def to_mcc(ast: QueryNode, naming: ModelNaming) -> MccComprehension:
     head_class = naming.bare_class(_context_class(ast))
     head_var = alloc.fresh(head_class)
     qualifiers.insert(0, ExtentGenerator(var=head_var, class_name=head_class))
-    visit(ast, head_var)
-    del visit  # no reference cycle is left (module docstring)
+    try:
+        visit(ast, head_var)
+    finally:
+        del visit  # no reference cycle is left, on any exit (module docstring)
     return MccComprehension(head_var=head_var, qualifiers=tuple(qualifiers))
 
 
@@ -920,9 +925,10 @@ def mcc_to_cql(comprehension: MccComprehension, model: UMLModel) -> CqlQuery:
             return items[0]
         return CqlGroup(logical_op="AND", items=tuple(items))
 
-    target = CqlTarget(name=qualified(classes[head.var]), child=assemble(head.var))
-    del assemble  # no reference cycle is left (module docstring)
-    return CqlQuery(target=target)
+    try:
+        return CqlQuery(CqlTarget(name=qualified(classes[head.var]), child=assemble(head.var)))
+    finally:
+        del assemble  # no reference cycle is left, on any exit (module docstring)
 
 
 # --- canonical pretty-printing -----------------------------------------------------
@@ -1033,11 +1039,11 @@ class RewriteOutcome:
     dropped: tuple[tuple[Provenance, str], ...] = ()
 
 
-def thesaurus_module(model: UMLModel, thesaurus: Thesaurus) -> AxiomSet:
-    """The module of the disjointness-free thesaurus for the model's
-    annotation signature. Raises OntologyError naming the first (sorted)
-    annotation concept the thesaurus does not declare; a declared one need
-    not occur in any kept axiom (a root, or a concept in no SUB line)."""
+def _module_pairs(model: UMLModel, thesaurus: Thesaurus) -> tuple[tuple[str, str], ...]:
+    """The concept pairs of the disjointness-free thesaurus' module for the
+    model's annotation signature. Raises OntologyError naming the first
+    (sorted) annotation concept the thesaurus does not declare; a declared
+    one need not occur in any kept pair (a root, or a concept in no SUB line)."""
     signature = model_signature(model)
     undeclared = signature.concept_names.difference(thesaurus.concepts)
     if undeclared:
@@ -1045,13 +1051,19 @@ def thesaurus_module(model: UMLModel, thesaurus: Thesaurus) -> AxiomSet:
     return extract_module(strip_disjoints(thesaurus), signature)
 
 
+def thesaurus_module(model: UMLModel, thesaurus: Thesaurus) -> AxiomSet:
+    """The module as the ``n:`` axioms ``ontogen`` and ``module`` write."""
+    named = ((concept_name(c), concept_name(p)) for c, p in _module_pairs(model, thesaurus))
+    return subclass_axioms(named, {"n": DEFAULT_PREFIXES["n"]})
+
+
 def prepare_context(model: UMLModel, thesaurus: Thesaurus) -> RewriteContext:
     """Classify the model's facts with the thesaurus module's subsumptions,
-    rendering no axiom for the model, and keep the index. Raises the
-    undeclared-concept OntologyError first, then ``model_naming``'s."""
-    module_axioms = thesaurus_module(model, thesaurus)
+    rendering no axiom, and keep the index. Raises the undeclared-concept
+    OntologyError first, then ``model_naming``'s."""
+    module = _module_pairs(model, thesaurus)
     naming = model_naming(model)
-    index = classify(ontology_facts(model, module_axioms))
+    index = classify(ontology_facts(model, module))
     return RewriteContext(model=model, naming=naming, index=index)
 
 
@@ -1113,30 +1125,34 @@ def _plan(
         dropped = []
         planned = 0
         last_error: PipelineError | None = None
-        for combo, failures in zip(combos, rejected):
-            budget = options.candidate_limit - planned
-            error: PipelineError | None = None
-            if failures:
-                error = ValidationRejectedError(tuple(failures))
-            else:
-                pairs = [(combo[i], combo[j]) for i, j in associations]
-                try:
-                    occurrences = _association_paths(index, pairs, options.max_nodes, budget)
-                except NoPathError as no_path:
-                    error = no_path
-            if error is not None:
-                dropped.append((Provenance(tuple(zip(concepts, combo))), str(error)))
-                last_error = error
-                continue
-            # the paths each occurrence may take; no expansion is built from them
-            expansions = LazyProduct([paths for *_, paths in occurrences], tuple)
-            check_cql_nesting(ast, expansions, options.max_nodes, budget)
-            _check_count(expansions, planned, options.candidate_limit)
-            planned += expansions.size
-            survivors.append(combo)
-        if not survivors:
-            raise last_error
-        return survivors, dropped
+        try:
+            for combo, failures in zip(combos, rejected):
+                budget = options.candidate_limit - planned
+                error: PipelineError | None = None
+                if failures:
+                    error = ValidationRejectedError(tuple(failures))
+                else:
+                    pairs = [(combo[i], combo[j]) for i, j in associations]
+                    try:
+                        occurrences = _association_paths(index, pairs, options.max_nodes, budget)
+                    except NoPathError as no_path:
+                        error = no_path
+                if error is not None:
+                    dropped.append((Provenance(tuple(zip(concepts, combo))), str(error)))
+                    last_error = error
+                    continue
+                # the paths each occurrence may take; no expansion is built from them
+                expansions = LazyProduct([paths for *_, paths in occurrences], tuple)
+                check_cql_nesting(ast, expansions, options.max_nodes, budget, index)
+                _check_count(expansions, planned, options.candidate_limit)
+                planned += expansions.size
+                survivors.append(combo)
+            if not survivors:
+                raise last_error
+            return survivors, dropped
+        finally:
+            # a caught or raised error's traceback holds this frame: unbind it
+            error = last_error = None
 
     return timed("pathFind", settle)
 
@@ -1199,7 +1215,8 @@ def rewrite_prepared(
         expansions = timed(
             "pathFind", find_property_paths, stripped, context.index, options.max_nodes, limit
         )
-        timed("pathFind", check_cql_nesting, candidate.ast, expansions, options.max_nodes, limit)
+        nesting = (candidate.ast, expansions, options.max_nodes, limit, context.index)
+        timed("pathFind", check_cql_nesting, *nesting)
         _check_count(expansions, 0, limit)
         plans.append((candidate, stripped, bindings, expansions))
 

@@ -171,9 +171,9 @@ def test_criterion_5_module_correctness():
             sigma = Signature(frozenset(rng.sample(thesaurus.concepts, count)))
             module = extract_module(stripped, sigma)
 
-            full_pairs = {(a.sub.name, a.sup.name) for a in stripped}
-            module_pairs = {(a.sub.name, a.sup.name) for a in module}
-            scope = {f"n:{c}" for c in sigma.concept_names}
+            full_pairs = set(stripped)
+            module_pairs = set(module)
+            scope = set(sigma.concept_names)
             scope |= {name for pair in module_pairs for name in pair}
 
             full = _bfs_entails(full_pairs)
@@ -185,12 +185,12 @@ def test_criterion_5_module_correctness():
                     assert full_holds == part_holds, (x, y)
 
             # idempotence
-            assert extract_module(module, sigma).axioms == module.axioms
+            assert extract_module(module, sigma) == module
             # monotonicity against a random sub-signature
             names = sorted(sigma.concept_names)
             sub_sigma = Signature(frozenset(rng.sample(names, rng.randint(0, len(names)))))
             smaller = extract_module(stripped, sub_sigma)
-            assert set(smaller.axioms) <= set(module.axioms)
+            assert set(smaller) <= set(module)
 
 
 def test_criterion_6_path_metrics_oracle():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import subprocess
 import sys
@@ -29,6 +30,45 @@ def test_ontogen_writes_conformant_files(tmp_path):
     assert el_conformance_report(ontology) == []
     assert el_conformance_report(module) == []
     assert len(module) > 0
+
+
+# sha256 of each file that ``ontogen`` and ``classify`` write, per fixture pair;
+# ``module`` writes the same ``module.axioms`` as ``ontogen``
+WRITTEN = {
+    ("cabio_fragment", "ncit_fragment"): {
+        "ontology.axioms": "1128f4e29f52ddd93780875c6fde75bcebb5f84ba423cae930ea9c2b3ba59511",
+        "module.axioms": "1cd3fc90cd9bd74fb374a3f8ff21f6fe4dbea5955cd379529d082a0beddeedf6",
+        "inferred.axioms": "8ce65af812f2b5de22ad32fde2cd786e6be914e9f758b4cd0872b63821b9d1f5",
+    },
+    ("biobank", "biobank"): {
+        "ontology.axioms": "5685d7fd0796608acfbda7e2e340e37f8731b9a84bb6194e295c23f218d2b04c",
+        "module.axioms": "311ef9f4166488e6be313e02be390ce07ab7cf1358bc4e5d4a37484b879694fd",
+        "inferred.axioms": "69ed3f88b7e6645909810146b675652be4ce7f880211ceb36ccfa9cf1fd4b491",
+    },
+}
+
+
+@pytest.mark.parametrize("model, thesaurus", sorted(WRITTEN), ids="/".join)
+def test_written_axiom_files_keep_their_bytes(model, thesaurus, tmp_path):
+    documents = [
+        "--model",
+        str(FIXTURES / f"{model}.model.json"),
+        "--thesaurus",
+        str(FIXTURES / f"{thesaurus}.thesaurus.txt"),
+    ]
+    for command in ("ontogen", "module", "classify"):
+        assert run([command, *documents, "--out", str(tmp_path / command)]) == 0
+    written = {
+        name: hashlib.sha256((tmp_path / command / name).read_bytes()).hexdigest()
+        for command, name in (
+            ("ontogen", "ontology.axioms"),
+            ("ontogen", "module.axioms"),
+            ("classify", "inferred.axioms"),
+        )
+    }
+    assert written == WRITTEN[model, thesaurus]
+    module = (tmp_path / "module" / "module.axioms").read_bytes()
+    assert module == (tmp_path / "ontogen" / "module.axioms").read_bytes()
 
 
 def test_ontogen_missing_model_exits_one(tmp_path, capsys):

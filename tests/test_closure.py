@@ -32,6 +32,8 @@ from onco_rewriter.ontology import (
     generate_ontology,
 )
 
+from test_module_extraction import rendered
+
 # --- reference implementations ---------------------------------------------
 
 
@@ -156,11 +158,12 @@ def raised(fn, *args):
 @given(graphs(acyclic=True), st.data())
 def test_module_matches_fixpoint_reference(graph, data):
     names, edges = graph
-    stripped = strip_disjoints(load_thesaurus(thesaurus_document(names, edges)))
+    pairs = strip_disjoints(load_thesaurus(thesaurus_document(names, edges)))
+    stripped = rendered(pairs)
     sigma = Signature(
         concept_names=frozenset(data.draw(st.lists(st.sampled_from(names + ["Absent"]))))
     )
-    module = extract_module(stripped, sigma)
+    module = rendered(extract_module(pairs, sigma))
     assert module.axioms == fixpoint_extract_module(stripped, sigma)
     assert isinstance(module, AxiomSet)
     assert module.prefixes == {"n": DEFAULT_PREFIXES["n"]}

@@ -2,10 +2,12 @@
 
 ``load_thesaurus`` reads a document in one pass of ``str.split`` per line,
 ``_find_cycle`` walks a stack of iterators and ``load_model`` does no work on
-the success path that only an error needs. ``strip_disjoints`` shares one
-``Named`` per concept. Each must give what the earlier code, kept below
-verbatim as the reference, gives: the same ``Thesaurus``, ``UMLModel`` or
-``AxiomSet``, or the same error class, text and line or location.
+the success path that only an error needs. ``strip_disjoints`` and
+``extract_module`` take and give ``(child, parent)`` concept pairs, building
+no axiom. Each must give what the earlier code, kept below verbatim as the
+reference, gives: the same ``Thesaurus`` or ``UMLModel``, the same
+``AxiomSet`` once the pairs are rendered, or the same error class, text and
+line or location.
 
 The one intended difference is a name that the ontology text cannot carry,
 because ``parse_axioms`` would split it: a thesaurus concept name holding
@@ -17,6 +19,7 @@ reference loaded it.
 from __future__ import annotations
 
 import json
+import random
 import re
 from collections import Counter
 from collections.abc import Mapping, Sequence
@@ -38,11 +41,21 @@ from onco_rewriter.model import (
     UMLAttribute,
     UMLClass,
     UMLModel,
+    closure,
 )
 from onco_rewriter.module_extraction import extract_module, strip_disjoints
-from onco_rewriter.ontology import DEFAULT_PREFIXES, AxiomSet, Named, SubClassOf, concept_name
+from onco_rewriter.ontology import (
+    DEFAULT_PREFIXES,
+    AxiomSet,
+    Named,
+    OntologyError,
+    SubClassOf,
+    concept_name,
+)
+from onco_rewriter.synthetic import random_thesaurus
 
 from test_document_fuzz import DEEP, DROP, _slots
+from test_module_extraction import rendered
 
 # --- the reference: the loaders as they were, verbatim -------------------------
 
@@ -291,12 +304,35 @@ def load_thesaurus(document: str) -> Thesaurus:
 
 
 def _strip_disjoints(thesaurus: Thesaurus) -> AxiomSet:
-    """Render the thesaurus as subsumption axioms, discarding disjointness."""
+    """Render the thesaurus as subsumption axioms, discarding disjointness.
+
+    One ``Named`` per declared concept is shared by every axiom that names
+    it; every subsumption names declared concepts, as ``load_thesaurus``
+    ensures."""
+    named = {name: Named(concept_name(name)) for name in thesaurus.concepts}
     axioms = tuple(
-        SubClassOf(Named(concept_name(child)), Named(concept_name(parent)))
-        for child, parent in thesaurus.subsumptions
+        SubClassOf(named[child], named[parent]) for child, parent in thesaurus.subsumptions
     )
     return AxiomSet(axioms, prefixes={"n": DEFAULT_PREFIXES["n"]})
+
+
+def _extract_module(thesaurus_axioms: AxiomSet, sigma: Signature) -> AxiomSet:
+    """Upward-closure module for the signature sigma.
+
+    Walks the sub-to-sup parent map once from the signature's names and keeps,
+    in source order, every axiom whose left-hand side the walk reached. Every
+    axiom must be a named-to-named subsumption.
+    """
+    parents: dict[str, list[str]] = {}
+    for axiom in thesaurus_axioms.axioms:
+        named = isinstance(axiom, SubClassOf) and isinstance(axiom.sub, Named)
+        if not (named and isinstance(axiom.sup, Named)):
+            raise OntologyError(f"not a named-to-named subsumption: {axiom}")
+        parents.setdefault(axiom.sub.name, []).append(axiom.sup.name)
+    starts = [concept_name(name) for name in sigma.concept_names]
+    relevant = set(closure(starts, lambda name: parents.get(name, ())))
+    kept = tuple(a for a in thesaurus_axioms.axioms if a.sub.name in relevant)
+    return AxiomSet(kept, prefixes=thesaurus_axioms.prefixes)
 
 
 # --- thesaurus documents ----------------------------------------------------------
@@ -410,11 +446,27 @@ def test_load_thesaurus_matches_the_reference(document):
             assert new == (ThesaurusLoadError, f"line {unreadable}: {message}", unreadable, None)
     if isinstance(new, Thesaurus):
         stripped = strip_disjoints(new)
-        assert stripped == _strip_disjoints(new)
+        assert rendered(stripped) == _strip_disjoints(new)
         assert len(stripped) == len(new.subsumptions)
         for concepts in ((), new.concepts[:1], new.concepts):
             sigma = Signature(frozenset(concepts))
-            assert extract_module(stripped, sigma) == extract_module(_strip_disjoints(new), sigma)
+            reference = _extract_module(_strip_disjoints(new), sigma)
+            assert rendered(extract_module(stripped, sigma)) == reference
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), data=st.data())
+def test_module_pairs_render_as_the_reference(seed, data):
+    """On drawn thesauri and signatures (some naming concepts the thesaurus
+    lacks), the pairs rendered are the reference's axioms, in its order."""
+    thesaurus = random_thesaurus(random.Random(seed), max_axioms=60)
+    names = st.sampled_from((*thesaurus.concepts, "Absent"))
+    sigma = Signature(frozenset(data.draw(st.sets(names, max_size=12))))
+    pairs = strip_disjoints(thesaurus)
+    assert rendered(pairs) == _strip_disjoints(thesaurus)
+    module = extract_module(pairs, sigma)
+    assert rendered(module) == _extract_module(_strip_disjoints(thesaurus), sigma)
+    assert extract_module(module, sigma) == module
 
 
 # --- _find_cycle ------------------------------------------------------------------

@@ -62,12 +62,13 @@ from onco_rewriter.synthetic import random_annotated_model
 # --- the plan --------------------------------------------------------------------
 
 
-def chain_context(length, parallel, lone=False):
+def chain_context(length, parallel, lone=False, tail=0):
     """B, annotated Both, reaches T through a chain of ``length`` classes.
     Unless ``lone``, A and C are annotated Both too: A reaches nothing, and C
-    reaches T by ``parallel`` roles."""
+    reaches T by ``parallel`` roles. From T a chain of ``tail`` classes leads
+    on, to no class matching T."""
     both = {"primary": "Both", "qualifiers": []}
-    hops = ["B", *(f"X{i}" for i in range(length)), "T"]
+    hops = ["B", *(f"X{i}" for i in range(length)), "T", *(f"Y{i}" for i in range(tail))]
     associations = [{"source": s, "roleName": "r", "target": t} for s, t in zip(hops, hops[1:])]
     associations += [{"source": "C", "roleName": f"r{k}", "target": "T"} for k in range(parallel)]
     classes = [
@@ -77,6 +78,7 @@ def chain_context(length, parallel, lone=False):
         {"name": "T", "annotation": {"primary": "CT", "qualifiers": []}},
     ]
     classes += [{"name": f"X{i}"} for i in range(length)]
+    classes += [{"name": f"Y{i}"} for i in range(tail)]
     document = {"project": "t", "version": "1", "packagePrefix": "org.example"}
     model = load_model(json.dumps(document | {"classes": classes, "associations": associations}))
     thesaurus = load_thesaurus("CONCEPT Root\nCONCEPT Both\nCONCEPT CT\nSUB Both Root\nSUB CT Root")
@@ -96,9 +98,17 @@ def test_nesting_error_wins_over_a_later_limit_error():
     assert info.value.depth == 261  # B's one path, one Association per step
     # with B's chain short enough, C's paths trip the limit; C's walk stops at
     # the two paths the limit leaves room for, and under a node budget whose
-    # nesting the fast path cannot rule out, a cut walk counts at its bound
-    with pytest.raises(NestingLimitError) as info:
+    # nesting the fast path cannot rule out, a cut walk counts at its bound:
+    # at most one step per class its source reaches, here T alone
+    with pytest.raises(CandidateLimitError, match="candidate count at least 4 exceeds limit 3"):
         rewrite_prepared(chain_context(20, parallel=3), QUERY, options)
+    # past T, C reaches 259 more classes: its cut walk counts at 260 steps,
+    # and at 299 (max_nodes - 1) once it reaches more classes than that
+    with pytest.raises(NestingLimitError) as info:
+        rewrite_prepared(chain_context(20, parallel=3, tail=259), QUERY, options)
+    assert info.value.depth == 260
+    with pytest.raises(NestingLimitError) as info:
+        rewrite_prepared(chain_context(20, parallel=3, tail=400), QUERY, options)
     assert info.value.depth == 299
     options = RewriteOptions(max_nodes=254, candidate_limit=3)
     with pytest.raises(CandidateLimitError, match="candidate count at least 4 exceeds limit 3"):

@@ -58,6 +58,7 @@ from onco_rewriter.pipeline import (
 from onco_rewriter.synthetic import random_resolved_tree, resolve_seed
 
 from conftest import CABIO_QUERY, FIXTURES
+from test_factored_plan import QUERY, chain_context
 
 
 def context_from(classes, associations, thesaurus_lines):
@@ -938,10 +939,86 @@ def test_data_values_with_whitespace_controls_read_back(cabio_context):
     assert result.cql.target.child.value == "a\tb\nc\rd\x7f\x85"
 
 
+def _rejections(cabio_context):
+    """One query per rejection kind that the caBIO fixture and the chain
+    models of ``test_factored_plan`` reach, with the error and stage it gets;
+    the last is accepted after the plan drops a candidate with no path."""
+    chain, long_chain = chain_context(20, parallel=3), chain_context(260, parallel=3)
+    limited = RewriteOptions(max_nodes=300, candidate_limit=3)
+    return [
+        (cabio_context, "Gene and and", None, "QuerySyntaxError", "parse"),
+        (
+            cabio_context,
+            "Gene and hasAssociation some (Unused)",
+            None,
+            "NoUmlCandidateError",
+            "umlExtract",
+        ),
+        (
+            cabio_context,
+            "Location and hasAssociation some (Chromosome)",
+            RewriteOptions(candidate_limit=1),
+            "CandidateLimitError",
+            "umlExtract",
+        ),
+        (
+            cabio_context,
+            'Gene and hasAttribute some (Gene_Symbol and hasValue value "a\x00b")',
+            None,
+            "PipelineError",
+            "valueExtract",
+        ),
+        (
+            cabio_context,
+            "Gene and hasAssociation some (Single_Nucleotide_Polymorphism)",
+            None,
+            "ValidationRejectedError",
+            "validate",
+        ),
+        (
+            cabio_context,
+            "Location and hasAssociation some (Single_Nucleotide_Polymorphism)",
+            None,
+            "ValidationRejectedError",
+            "validate",
+        ),
+        (
+            cabio_context,
+            "Single_Nucleotide_Polymorphism and hasAssociation some (Gene)",
+            RewriteOptions(max_nodes=2),
+            "NoPathError",
+            "pathFind",
+        ),
+        (
+            cabio_context,
+            "Location and hasAssociation some (Location)",
+            RewriteOptions(max_nodes=2),
+            "NoPathError",
+            "pathFind",
+        ),
+        (chain, QUERY, limited, "CandidateLimitError", "pathFind"),
+        (long_chain, QUERY, limited, "NestingLimitError", "pathFind"),
+        (chain, QUERY, RewriteOptions(max_nodes=5), None, None),
+    ]
+
+
+def _outcome_kind(context, query, options):
+    """The rejection's (error class, stage), or None for an accepted query,
+    whose results are written; no error outlives this call."""
+    try:
+        outcome = rewrite_prepared(context, query, options)
+    except PipelineError as error:
+        return type(error).__name__, error.stage
+    assert [to_xml(result.cql) for result in outcome.results]
+    return None
+
+
 def test_rewrite_leaves_no_reference_cycles(cabio_context):
     """Recursive helpers live at module level or are unbound before their
-    function returns, so rewriting and writing the caBIO suite leaves no
-    cyclic garbage, whose collection would otherwise land on a later query."""
+    function exits, and no frame keeps an error past its exit, so rewriting
+    and writing the caBIO suite, and rejecting one query of each kind,
+    leaves no cyclic garbage, whose collection would otherwise land on a
+    later query."""
     lines = (FIXTURES / "cabio.suite.txt").read_text(encoding="utf-8").splitlines()
     queries = [line for line in lines if line.strip() and not line.startswith("#")]
     for query in queries:  # fills the context's lazy tables first
@@ -951,3 +1028,9 @@ def test_rewrite_leaves_no_reference_cycles(cabio_context):
         outcome = rewrite_prepared(cabio_context, query)
         assert [to_xml(result.cql) for result in outcome.results]
     assert gc.collect() == 0
+    for context, query, options, *kind in _rejections(cabio_context):
+        expected = None if kind == [None, None] else tuple(kind)
+        assert _outcome_kind(context, query, options) == expected  # fills the lazy tables
+        gc.collect()
+        assert _outcome_kind(context, query, options) == expected
+        assert gc.collect() == 0, (query, expected)

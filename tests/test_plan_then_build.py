@@ -87,7 +87,7 @@ def reference_rewrite_prepared(context, text, options=None):
             continue
         # a walk under this budget would be cut past it (see the module docstring)
         budget = options.candidate_limit - len(results)
-        P.check_cql_nesting(candidate.ast, expansions, options.max_nodes, budget)
+        P.check_cql_nesting(candidate.ast, expansions, options.max_nodes, budget, context.index)
         if len(results) + expansions.size > options.candidate_limit:
             raise CandidateLimitError(
                 "pathFind", len(results) + expansions.size, options.candidate_limit

@@ -64,6 +64,7 @@ from onco_rewriter.reasoner import classify
 from onco_rewriter.synthetic import random_annotated_model
 
 from axiom_decomposition import decompose
+from test_module_extraction import rendered
 
 # --- reference implementation -------------------------------------------------
 
@@ -171,7 +172,7 @@ def reference_naming(model):
 
 
 def reference_prepare(model, thesaurus):
-    module = extract_module(strip_disjoints(thesaurus), model_signature(model))
+    module = rendered(extract_module(strip_disjoints(thesaurus), model_signature(model)))
     ontology = reference_generate_ontology(model, module)
     return module, ontology, reference_merge(ontology, module), reference_naming(model)
 
