@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
+
+from .nodes import Node
 
 CQL_NAMESPACE = "http://CQL.caBIG/1/gov.nih.nci.cagrid.CQLQuery"
 
@@ -55,34 +57,34 @@ class CqlXmlError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CqlAttribute:
+class CqlAttribute(Node):
+    __slots__ = ()
     name: str
     predicate: str
     value: str | None = None
 
 
-@dataclass(frozen=True)
-class CqlAssociation:
+class CqlAssociation(Node):
+    __slots__ = ()
     name: str
     role_name: str
     child: "CqlAttribute | CqlAssociation | CqlGroup | None" = None
 
 
-@dataclass(frozen=True)
-class CqlGroup:
+class CqlGroup(Node):
+    __slots__ = ()
     logical_op: str
     items: tuple["CqlAttribute | CqlAssociation | CqlGroup", ...] = ()
 
 
-@dataclass(frozen=True)
-class CqlTarget:
+class CqlTarget(Node):
+    __slots__ = ()
     name: str
     child: CqlAttribute | CqlAssociation | CqlGroup | None = None
 
 
-@dataclass(frozen=True)
-class QueryModifier:
+class QueryModifier(Node):
+    __slots__ = ()
     distinct_attribute: str | None = None
     attribute_names: tuple[str, ...] = ()
 
@@ -295,21 +297,6 @@ def parse_xml(document: str) -> CqlQuery:
 
 def semantically_equal(document_a: str, document_b: str) -> bool:
     """Whitespace-insensitive structural equality of two CQL XML documents.
-
-    The parsed trees are compared node pair by node pair from an explicit
-    stack, as ``==`` would compare them, so any depth ``parse_xml`` admits
-    costs no recursion."""
-    stack = [(parse_xml(document_a), parse_xml(document_b))]
-    while stack:
-        a, b = stack.pop()
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, tuple):
-            if len(a) != len(b):
-                return False
-            stack.extend(zip(a, b))
-        elif is_dataclass(a):
-            stack.extend((getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
-        elif a != b:
-            return False
-    return True
+    Node equality compares from an explicit stack, so any depth
+    ``parse_xml`` admits costs no recursion."""
+    return parse_xml(document_a) == parse_xml(document_b)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 import time
 from collections.abc import Callable, Sequence
@@ -43,6 +44,7 @@ from .cql import MAX_NESTING as CQL_MAX_NESTING
 from .cql import NOT_XML, CqlAssociation, CqlAttribute, CqlGroup, CqlQuery, CqlTarget
 from .model import InputError, Thesaurus, UMLModel, model_signature
 from .module_extraction import extract_module, strip_disjoints
+from .nodes import Node
 from .ontology import (
     DEFAULT_PREFIXES,
     UML_ATTRIBUTE,
@@ -135,54 +137,59 @@ class MccError(PipelineError):
 
 # --- query AST -------------------------------------------------------------
 
+# The hot builders make a node straight from its field tuple, running no
+# Python code (nodes module); elsewhere ``Cls(...)`` takes keywords and defaults.
+_new = tuple.__new__
 
-class QueryNode:
+
+class QueryNode(Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class ConceptRef(QueryNode):
+    __slots__ = ()
     name: str
 
 
-@dataclass(frozen=True)
 class UmlClassRef(QueryNode):
+    __slots__ = ()
     name: str
 
 
-@dataclass(frozen=True)
 class UmlAttributeRef(QueryNode):
+    __slots__ = ()
     name: str
 
 
-@dataclass(frozen=True)
 class And(QueryNode):
+    __slots__ = ()
     items: tuple[QueryNode, ...]
 
-    def __post_init__(self):
-        if len(self.items) < 2:
+    def __new__(cls, items: tuple[QueryNode, ...]):
+        if len(items) < 2:
             raise ValueError("conjunction needs at least two items")
+        return tuple.__new__(cls, (items,))
 
 
-@dataclass(frozen=True)
 class HasAssociationSome(QueryNode):
+    __slots__ = ()
     inner: QueryNode
 
 
-@dataclass(frozen=True)
 class HasAttributeSome(QueryNode):
+    __slots__ = ()
     inner: QueryNode
 
 
-@dataclass(frozen=True)
 class HasValueEquals(QueryNode):
+    __slots__ = ()
     literal: str
 
 
-@dataclass(frozen=True)
 class AssocStep(QueryNode):
     """A concrete association step introduced by path expansion."""
 
+    __slots__ = ()
     property_name: str
     inner: QueryNode
 
@@ -525,26 +532,33 @@ def extract_data_values(ast: QueryNode) -> tuple[QueryNode, list[ValueBinding]]:
 
 def reinsert_data_values(ast: QueryNode, bindings: list[ValueBinding]) -> QueryNode:
     """Put each binding's written argument back into its attribute
-    restriction, which must still hold the stripped one. With no bindings
-    there is nothing to restore, and ``ast`` comes back."""
+    restriction, which must still hold the stripped one. A subtree in which
+    nothing is restored comes back as the same object, so only the spine
+    above a restored restriction is rebuilt; with no bindings, ``ast``
+    comes back."""
     if not bindings:
         return ast
     pending = {binding.ordinal: binding for binding in bindings}
     ordinals = itertools.count()
-
     def walk(node: QueryNode) -> QueryNode:
+        if not pending:
+            return node
         if isinstance(node, HasAttributeSome):
             binding = pending.get(next(ordinals))
             if binding is None or node.inner != binding.stripped:
                 return node
             del pending[binding.ordinal]
-            return HasAttributeSome(binding.written)
+            return _new(HasAttributeSome, (binding.written,))
         if isinstance(node, And):
-            return And(tuple(walk(i) for i in node.items))
+            items = node.items
+            walked = tuple(map(walk, items))
+            return node if all(map(operator.is_, walked, items)) else _new(And, (walked,))
         if isinstance(node, HasAssociationSome):
-            return HasAssociationSome(walk(node.inner))
+            inner = walk(node.inner)
+            return node if inner is node.inner else _new(HasAssociationSome, (inner,))
         if isinstance(node, AssocStep):
-            return AssocStep(node.property_name, walk(node.inner))
+            inner = walk(node.inner)
+            return node if inner is node.inner else _new(AssocStep, (node.property_name, inner))
         return node
 
     result = walk(ast)
@@ -622,9 +636,10 @@ def validate_semantics(stripped: QueryNode, index: SubsumptionIndex) -> Validati
 
 
 def _chain_from_path(path: AssociationPath, final_inner: QueryNode) -> QueryNode:
-    node = AssocStep(path.steps[-1][0], final_inner)
+    node = _new(AssocStep, (path.steps[-1][0], final_inner))
     for prop, rng in reversed(path.steps[:-1]):
-        node = AssocStep(prop, And((UmlClassRef(rng), node)))
+        items = (_new(UmlClassRef, (rng,)), node)
+        node = _new(AssocStep, (prop, _new(And, (items,))))
     return node
 
 
@@ -756,27 +771,27 @@ class Monoid:
 BAG_MONOID = Monoid(accumulator="⊎", identity="empty bag", unit="singleton bag")
 
 
-@dataclass(frozen=True)
-class ExtentGenerator:
+class ExtentGenerator(Node):
+    __slots__ = ()
     var: str
     class_name: str
 
 
-@dataclass(frozen=True)
-class PathGenerator:
+class PathGenerator(Node):
+    __slots__ = ()
     var: str
     source_var: str
     role_name: str
 
 
-@dataclass(frozen=True)
-class TypeBind:
+class TypeBind(Node):
+    __slots__ = ()
     var: str
     class_name: str
 
 
-@dataclass(frozen=True)
-class Filter:
+class Filter(Node):
+    __slots__ = ()
     var: str
     attribute_name: str
     predicate: str
@@ -786,8 +801,8 @@ class Filter:
 Qualifier = ExtentGenerator | PathGenerator | TypeBind | Filter
 
 
-@dataclass(frozen=True)
-class MccComprehension:
+class MccComprehension(Node):
+    __slots__ = ()
     head_var: str
     qualifiers: tuple[Qualifier, ...]
     monoid: Monoid = BAG_MONOID
@@ -822,15 +837,14 @@ def to_mcc(ast: QueryNode, naming: ModelNaming) -> MccComprehension:
     path generator plus a type restriction and each data value a filter."""
     qualifiers: list[Qualifier] = []
     alloc = _VarAllocator()
-
     def visit(node: QueryNode, var: str) -> None:
         for part in _parts(node):
             if isinstance(part, AssocStep):
                 role = naming.role_of(part.property_name)
                 target_class = naming.bare_class(_context_class(part.inner))
                 child = alloc.fresh(role)
-                qualifiers.append(PathGenerator(var=child, source_var=var, role_name=role))
-                qualifiers.append(TypeBind(var=child, class_name=target_class))
+                qualifiers.append(_new(PathGenerator, (child, var, role)))
+                qualifiers.append(_new(TypeBind, (child, target_class)))
                 visit(part.inner, child)
             elif isinstance(part, UmlClassRef):
                 continue
@@ -839,7 +853,7 @@ def to_mcc(ast: QueryNode, naming: ModelNaming) -> MccComprehension:
                 for sub in _parts(part.inner):
                     if isinstance(sub, HasValueEquals):
                         predicate = _predicate_for(sub.literal)
-                        qualifiers.append(Filter(var, attr_name, predicate, sub.literal))
+                        qualifiers.append(_new(Filter, (var, attr_name, predicate, sub.literal)))
             elif isinstance(part, HasAssociationSome):
                 raise MccError("unexpanded association restriction")
             elif isinstance(part, HasValueEquals):
@@ -847,12 +861,12 @@ def to_mcc(ast: QueryNode, naming: ModelNaming) -> MccComprehension:
 
     head_class = naming.bare_class(_context_class(ast))
     head_var = alloc.fresh(head_class)
-    qualifiers.insert(0, ExtentGenerator(var=head_var, class_name=head_class))
+    qualifiers.append(_new(ExtentGenerator, (head_var, head_class)))
     try:
         visit(ast, head_var)
     finally:
         del visit  # no reference cycle is left, on any exit (module docstring)
-    return MccComprehension(head_var=head_var, qualifiers=tuple(qualifiers))
+    return _new(MccComprehension, (head_var, tuple(qualifiers), BAG_MONOID))
 
 
 def mcc_to_cql(comprehension: MccComprehension, model: UMLModel) -> CqlQuery:
@@ -907,26 +921,20 @@ def mcc_to_cql(comprehension: MccComprehension, model: UMLModel) -> CqlQuery:
         for entry in entries[var]:
             if entry[0] == "assoc":
                 _, child_var, role = entry
-                items.append(
-                    CqlAssociation(
-                        name=qualified(classes[child_var]),
-                        role_name=role,
-                        child=assemble(child_var),
-                    )
-                )
+                name = qualified(classes[child_var])
+                items.append(_new(CqlAssociation, (name, role, assemble(child_var))))
             else:
                 f = entry[1]
-                items.append(
-                    CqlAttribute(name=f.attribute_name, predicate=f.predicate, value=f.literal)
-                )
+                items.append(_new(CqlAttribute, (f.attribute_name, f.predicate, f.literal)))
         if not items:
             return None
         if len(items) == 1:
             return items[0]
-        return CqlGroup(logical_op="AND", items=tuple(items))
+        return _new(CqlGroup, ("AND", tuple(items)))
 
     try:
-        return CqlQuery(CqlTarget(name=qualified(classes[head.var]), child=assemble(head.var)))
+        target = _new(CqlTarget, (qualified(classes[head.var]), assemble(head.var)))
+        return CqlQuery(target)
     finally:
         del assemble  # no reference cycle is left, on any exit (module docstring)
 
@@ -937,40 +945,37 @@ def mcc_to_cql(comprehension: MccComprehension, model: UMLModel) -> CqlQuery:
 def format_query(node: QueryNode, naming: ModelNaming | None = None) -> str:
     """Canonical one-line rendering of a query AST. Association chains print
     flat; composite existential arguments are parenthesized."""
+    if isinstance(node, (ConceptRef, UmlClassRef, UmlAttributeRef)):
+        return node.name
+    if isinstance(node, HasValueEquals):
+        return f"hasValue value {_quote(node.literal)}"
+    if isinstance(node, And):
+        return " and ".join(format_query(i, naming) for i in node.items)
+    if isinstance(node, HasAssociationSome):
+        return f"hasAssociation some {_format_argument(node.inner, naming)}"
+    if isinstance(node, HasAttributeSome):
+        return f"hasAttribute some {_format_argument(node.inner, naming)}"
+    if isinstance(node, AssocStep):
+        role = naming.role_of(node.property_name) if naming else node.property_name
+        inner = node.inner
+        if (
+            isinstance(inner, And)
+            and len(inner.items) == 2
+            and isinstance(inner.items[0], UmlClassRef)
+            and isinstance(inner.items[1], AssocStep)
+        ):
+            return (
+                f"hasAssociation({role}) some {inner.items[0].name}"
+                f" and {format_query(inner.items[1], naming)}"
+            )
+        return f"hasAssociation({role}) some {_format_argument(inner, naming)}"
+    raise ValueError(f"cannot format {type(node).__name__}")
 
-    def fmt(n: QueryNode) -> str:
-        if isinstance(n, (ConceptRef, UmlClassRef, UmlAttributeRef)):
-            return n.name
-        if isinstance(n, HasValueEquals):
-            return f"hasValue value {_quote(n.literal)}"
-        if isinstance(n, And):
-            return " and ".join(fmt(i) for i in n.items)
-        if isinstance(n, HasAssociationSome):
-            return f"hasAssociation some {arg(n.inner)}"
-        if isinstance(n, HasAttributeSome):
-            return f"hasAttribute some {arg(n.inner)}"
-        if isinstance(n, AssocStep):
-            role = naming.role_of(n.property_name) if naming else n.property_name
-            inner = n.inner
-            if (
-                isinstance(inner, And)
-                and len(inner.items) == 2
-                and isinstance(inner.items[0], UmlClassRef)
-                and isinstance(inner.items[1], AssocStep)
-            ):
-                return (
-                    f"hasAssociation({role}) some {inner.items[0].name}"
-                    f" and {fmt(inner.items[1])}"
-                )
-            return f"hasAssociation({role}) some {arg(inner)}"
-        raise ValueError(f"cannot format {type(n).__name__}")
 
-    def arg(n: QueryNode) -> str:
-        if isinstance(n, (ConceptRef, UmlClassRef, UmlAttributeRef)):
-            return fmt(n)
-        return f"({fmt(n)})"
-
-    return fmt(node)
+def _format_argument(node: QueryNode, naming: ModelNaming | None) -> str:
+    if isinstance(node, (ConceptRef, UmlClassRef, UmlAttributeRef)):
+        return node.name
+    return f"({format_query(node, naming)})"
 
 
 def format_comprehension(comprehension: MccComprehension) -> str:

@@ -336,10 +336,12 @@ def test_parse_bounds_group_nesting():
 def test_semantic_equality_at_the_deepest_nesting_parse_xml_admits(chain):
     document = to_xml(chain(MAX_NESTING))
     assert semantically_equal(document, document)
+    assert parse_xml(document) == parse_xml(document)
     changed = document.replace('name="leaf"', 'name="leaf2"')
     assert changed != document
     assert not semantically_equal(document, changed)
     assert not semantically_equal(changed, document)
+    assert parse_xml(document) != parse_xml(changed)
 
 
 def test_semantic_equality_matches_ast_equality():

@@ -1015,18 +1015,25 @@ def _outcome_kind(context, query, options):
 
 def test_rewrite_leaves_no_reference_cycles(cabio_context):
     """Recursive helpers live at module level or are unbound before their
-    function exits, and no frame keeps an error past its exit, so rewriting
-    and writing the caBIO suite, and rejecting one query of each kind,
-    leaves no cyclic garbage, whose collection would otherwise land on a
-    later query."""
+    function exits, and no frame keeps an error past its exit, so rewriting,
+    writing and formatting the caBIO suite, and rejecting one query of each
+    kind, leaves no cyclic garbage, whose collection would otherwise land on
+    a later query."""
     lines = (FIXTURES / "cabio.suite.txt").read_text(encoding="utf-8").splitlines()
     queries = [line for line in lines if line.strip() and not line.startswith("#")]
     for query in queries:  # fills the context's lazy tables first
         rewrite_prepared(cabio_context, query)
     gc.collect()
+    results = []
     for query in queries:
         outcome = rewrite_prepared(cabio_context, query)
         assert [to_xml(result.cql) for result in outcome.results]
+        results += outcome.results
+    assert gc.collect() == 0
+    for result in results:
+        for tree in (result.resolved, result.stripped, result.expanded, result.restored):
+            assert format_query(tree) and format_query(tree, cabio_context.naming)
+        assert format_comprehension(result.mcc)
     assert gc.collect() == 0
     for context, query, options, *kind in _rejections(cabio_context):
         expected = None if kind == [None, None] else tuple(kind)
