@@ -142,9 +142,9 @@ def stage_timings(
     options: RewriteOptions | None = None,
 ) -> TimingReport:
     """Mean per-stage times for each query, plus group means keyed by the
-    path length of the rewriting. Stages and the end-to-end time are both
-    read from the process CPU clock. Queries that fail to rewrite are
-    reported in ``failed`` and contribute no row."""
+    path length of the rewriting, from the process CPU clock; the stages of
+    a row sum to nearly its end-to-end time (``RewriteOutcome``). Queries
+    that fail to rewrite are reported in ``failed`` and contribute no row."""
     context = prepare_context(model, thesaurus)
     rows: list[QueryTiming] = []
     failed: list[tuple[str, str]] = []

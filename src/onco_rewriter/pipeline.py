@@ -4,9 +4,9 @@ The rewriting runs in eight stages: parse, UML extraction, data value
 extraction, semantic validation, property path finding, data value
 re-addition, translation to a bag-monoid comprehension, and translation of
 the comprehension into a CQL query. Every stage is a pure function; the
-driver composes them, collects per-stage durations, and keeps a provenance
-record of which class choices and which association paths produced each
-emitted query.
+driver calls them in turn, reading the CPU clock once per stage boundary
+(``RewriteOutcome``), and keeps a provenance record of which class choices
+and which association paths produced each emitted query.
 
 Query texts use a small class-expression grammar::
 
@@ -38,7 +38,7 @@ import operator
 import re
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .cql import MAX_NESTING as CQL_MAX_NESTING
 from .cql import NOT_XML, CqlAssociation, CqlAttribute, CqlGroup, CqlQuery, CqlTarget
@@ -65,6 +65,7 @@ from .reasoner import (
     association_reachable,
     classify,
     find_paths,
+    reach,
 )
 
 STAGES = (
@@ -486,7 +487,9 @@ class ValueBinding:
 def extract_data_values(ast: QueryNode) -> tuple[QueryNode, list[ValueBinding]]:
     """Remove every data value, collapsing single-child conjunctions. Each
     attribute restriction that held values gets one binding, in depth-first
-    order; one nested in another belongs to the outer one's binding."""
+    order; one nested in another belongs to the outer one's binding. A
+    subtree holding no value comes back as the same object; with no values,
+    ``ast`` comes back."""
     bindings: list[ValueBinding] = []
     ordinals = itertools.count()
 
@@ -509,17 +512,22 @@ def extract_data_values(ast: QueryNode) -> tuple[QueryNode, list[ValueBinding]]:
                     )
             if not kept:
                 raise PipelineError("valueExtract", "attribute restriction with values only")
-            return kept[0] if len(kept) == 1 else And(tuple(kept))
+            if len(kept) == 1:
+                return kept[0]
+            unchanged = len(kept) == len(node.items) and all(map(operator.is_, kept, node.items))
+            return node if unchanged else And(tuple(kept))
         if isinstance(node, HasAttributeSome):
             inner = walk(node.inner, True, True)
             ordinal = None if enclosed else next(ordinals)
-            if ordinal is not None and inner != node.inner:
+            if ordinal is not None and inner is not node.inner:
                 bindings.append(ValueBinding(ordinal, inner, node.inner))
-            return HasAttributeSome(inner)
+            return node if inner is node.inner else HasAttributeSome(inner)
         if isinstance(node, HasAssociationSome):
-            return HasAssociationSome(walk(node.inner, False, enclosed))
+            inner = walk(node.inner, False, enclosed)
+            return node if inner is node.inner else HasAssociationSome(inner)
         if isinstance(node, AssocStep):
-            return AssocStep(node.property_name, walk(node.inner, False, enclosed))
+            inner = walk(node.inner, False, enclosed)
+            return node if inner is node.inner else AssocStep(node.property_name, inner)
         if isinstance(node, HasValueEquals):
             raise PipelineError("valueExtract", "data value must be conjoined with a concept")
         return node
@@ -714,11 +722,11 @@ def cql_depth(
     so the deepest one takes each occurrence's longest path. An occurrence
     holding more than ``cap`` paths was cut short, so it takes a bound
     instead: ``max_nodes - 1`` steps, or fewer when its source reaches fewer
-    other classes (``index.reach``, filled when the pair was validated), as
-    a simple path visits each at most once. No class name is read, so the
-    parsed query gives the depth of each of its resolutions."""
+    other classes (``reach``), as a simple path visits each at most once.
+    No class name is read, so the parsed query gives the depth of each of
+    its resolutions."""
     longest = (
-        min(max_nodes - 1, len(index.reach[paths[0].source_class] - {paths[0].source_class}))
+        min(max_nodes - 1, len(reach(index, paths[0].source_class) - {paths[0].source_class}))
         if cap is not None and len(paths) > cap
         else max(len(path.steps) for path in paths)
         for paths in expansions.choices
@@ -1039,6 +1047,10 @@ class RewriteResult:
 
 @dataclass(frozen=True)
 class RewriteOutcome:
+    """``durations_us`` holds each stage's process CPU µs: one clock read per
+    stage boundary, each span since the previous read charged to the stage
+    it ends, so glue counts toward the next and the eight sum to the whole."""
+
     results: tuple[RewriteResult, ...]
     durations_us: dict[str, float]
     dropped: tuple[tuple[Provenance, str], ...] = ()
@@ -1087,7 +1099,7 @@ def _plan(
     candidates: LazyProduct,
     index: SubsumptionIndex,
     options: RewriteOptions,
-    timed: Callable,
+    lap: Callable,
 ) -> tuple[list[tuple[str, ...]], list[tuple[Provenance, str]]]:
     """The combinations of ``extract_uml``'s product worth building, in
     product order, and the others with why each is dropped, building no
@@ -1098,68 +1110,61 @@ def _plan(
     dropped, and CandidateLimitError (on the running expansion count) or
     NestingLimitError at the first combination that trips it. Each pair's
     walk stops past the budget the limit leaves, and every pair of a
-    combination is walked before its count is compared."""
+    combination is walked before its count is compared; ``lap`` ends each stage."""
     # at most candidate_limit combinations: all are validated before any path
     combos = list(itertools.product(*candidates.choices))
+    # resolving each concept occurrence to its own position gives the
+    # query's relations as pairs of positions in a combination
+    template = candidates.build(tuple(range(len(candidates.choices))))
+    relations = _relations(template.ast)
     related: dict[tuple[str, str, str], bool] = {}
+    rejected = []
+    for combo in combos:
+        failures = []
+        for kind, i, j in relations:
+            relation = (kind, combo[i], combo[j])
+            holds = related.get(relation)
+            if holds is None:
+                holds = related[relation] = _related(index, *relation)
+            if not holds:
+                failures.append(relation)
+        rejected.append(failures)
+    lap("validate")
 
-    def validate() -> tuple[CandidateQuery, list[tuple[str, str, str]], list[list]]:
-        # resolving each concept occurrence to its own position gives the
-        # query's relations as pairs of positions in a combination
-        template = candidates.build(tuple(range(len(candidates.choices))))
-        relations = _relations(template.ast)
-        rejected = []
-        for combo in combos:
-            failures = []
-            for kind, i, j in relations:
-                relation = (kind, combo[i], combo[j])
-                holds = related.get(relation)
-                if holds is None:
-                    holds = related[relation] = _related(index, *relation)
-                if not holds:
-                    failures.append(relation)
-            rejected.append(failures)
-        return template, relations, rejected
-
-    template, relations, rejected = timed("validate", validate)
     concepts = [concept for concept, _ in template.provenance.concept_choices]
     associations = [(i, j) for kind, i, j in relations if kind == "association"]
-
-    def settle() -> tuple[list[tuple[str, ...]], list[tuple[Provenance, str]]]:
-        survivors = []
-        dropped = []
-        planned = 0
-        last_error: PipelineError | None = None
-        try:
-            for combo, failures in zip(combos, rejected):
-                budget = options.candidate_limit - planned
-                error: PipelineError | None = None
-                if failures:
-                    error = ValidationRejectedError(tuple(failures))
-                else:
-                    pairs = [(combo[i], combo[j]) for i, j in associations]
-                    try:
-                        occurrences = _association_paths(index, pairs, options.max_nodes, budget)
-                    except NoPathError as no_path:
-                        error = no_path
-                if error is not None:
-                    dropped.append((Provenance(tuple(zip(concepts, combo))), str(error)))
-                    last_error = error
-                    continue
-                # the paths each occurrence may take; no expansion is built from them
-                expansions = LazyProduct([paths for *_, paths in occurrences], tuple)
-                check_cql_nesting(ast, expansions, options.max_nodes, budget, index)
-                _check_count(expansions, planned, options.candidate_limit)
-                planned += expansions.size
-                survivors.append(combo)
-            if not survivors:
-                raise last_error
-            return survivors, dropped
-        finally:
-            # a caught or raised error's traceback holds this frame: unbind it
-            error = last_error = None
-
-    return timed("pathFind", settle)
+    survivors = []
+    dropped = []
+    planned = 0
+    last_error: PipelineError | None = None
+    try:
+        for combo, failures in zip(combos, rejected):
+            budget = options.candidate_limit - planned
+            error: PipelineError | None = None
+            if failures:
+                error = ValidationRejectedError(tuple(failures))
+            else:
+                pairs = [(combo[i], combo[j]) for i, j in associations]
+                try:
+                    occurrences = _association_paths(index, pairs, options.max_nodes, budget)
+                except NoPathError as no_path:
+                    error = no_path
+            if error is not None:
+                dropped.append((Provenance(tuple(zip(concepts, combo))), str(error)))
+                last_error = error
+                continue
+            # the paths each occurrence may take; no expansion is built from them
+            expansions = LazyProduct([paths for *_, paths in occurrences], tuple)
+            check_cql_nesting(ast, expansions, options.max_nodes, budget, index)
+            _check_count(expansions, planned, options.candidate_limit)
+            planned += expansions.size
+            survivors.append(combo)
+        if not survivors:
+            raise last_error
+        return lap("pathFind", (survivors, dropped))
+    finally:
+        # a caught or raised error's traceback holds this frame: unbind it
+        error = last_error = None
 
 
 def rewrite_prepared(
@@ -1180,20 +1185,23 @@ def rewrite_prepared(
     (``CandidateLimitError``, ``NestingLimitError``) is raised before an
     earlier candidate's build error (``MccError``, an unresolvable binding);
     the build errors signal broken internal invariants, not rejected input.
+    Each ``lap(stage, value)`` ends ``stage`` with one clock read (``RewriteOutcome``).
     """
     options = options or RewriteOptions()
-    durations = {stage: 0.0 for stage in STAGES}
+    durations = dict.fromkeys(STAGES, 0.0)
+    # process CPU clock: monotonic and immune to scheduler preemption,
+    # which would dwarf microsecond stages
+    last = time.process_time_ns()
 
-    def timed(stage: str, fn, *args):
-        # process CPU clock: monotonic and immune to scheduler preemption,
-        # which would dwarf microsecond stages
-        start = time.process_time_ns()
-        result = fn(*args)
-        durations[stage] += (time.process_time_ns() - start) / 1000.0
-        return result
+    def lap(stage: str, value=None):
+        nonlocal last
+        now = time.process_time_ns()
+        durations[stage] += (now - last) / 1000.0
+        last = now
+        return value
 
-    ast = timed("parse", parse_query, text)
-    candidates = timed("umlExtract", extract_uml, ast, context.index)
+    ast = lap("parse", parse_query(text))
+    candidates = lap("umlExtract", extract_uml(ast, context.index))
     limit = options.candidate_limit
     if candidates.size > limit:
         raise CandidateLimitError("umlExtract", candidates.size, limit)
@@ -1202,39 +1210,34 @@ def rewrite_prepared(
     plans: list[tuple[CandidateQuery, QueryNode, list[ValueBinding], LazyProduct]] = []
     dropped: list[tuple[Provenance, str]] = []
     if candidates.size > 1:
-        survivors, dropped = _plan(ast, candidates, context.index, options, timed)
+        survivors, dropped = _plan(ast, candidates, context.index, options, lap)
         # every survivor has at least one expansion, so "first" builds one
-        built = timed("umlExtract", list, map(candidates.build, survivors[: 1 if first else None]))
+        built = lap("umlExtract", list(map(candidates.build, survivors[: 1 if first else None])))
         for candidate in built:
-            stripped, bindings = timed("valueExtract", extract_data_values, candidate.ast)
-            expansions = timed(
-                "pathFind", find_property_paths, stripped, context.index, options.max_nodes, limit
-            )
-            plans.append((candidate, stripped, bindings, expansions))
+            stripped, bindings = lap("valueExtract", extract_data_values(candidate.ast))
+            expansions = find_property_paths(stripped, context.index, options.max_nodes, limit)
+            plans.append(lap("pathFind", (candidate, stripped, bindings, expansions)))
     else:
-        (candidate,) = timed("umlExtract", list, candidates)
-        stripped, bindings = timed("valueExtract", extract_data_values, candidate.ast)
-        outcome = timed("validate", validate_semantics, stripped, context.index)
+        (candidate,) = lap("umlExtract", list(candidates))
+        stripped, bindings = lap("valueExtract", extract_data_values(candidate.ast))
+        outcome = lap("validate", validate_semantics(stripped, context.index))
         if not outcome.ok:
             raise ValidationRejectedError(outcome.failures)
-        expansions = timed(
-            "pathFind", find_property_paths, stripped, context.index, options.max_nodes, limit
-        )
-        nesting = (candidate.ast, expansions, options.max_nodes, limit, context.index)
-        timed("pathFind", check_cql_nesting, *nesting)
+        expansions = find_property_paths(stripped, context.index, options.max_nodes, limit)
+        check_cql_nesting(candidate.ast, expansions, options.max_nodes, limit, context.index)
         _check_count(expansions, 0, limit)
-        plans.append((candidate, stripped, bindings, expansions))
+        plans.append(lap("pathFind", (candidate, stripped, bindings, expansions)))
 
     results: list[RewriteResult] = []
     for candidate, stripped, bindings, expansions in plans:
         wanted = itertools.islice(expansions, 1 if first else None)
-        for expansion in timed("pathFind", list, wanted):
-            provenance = replace(
-                expansion.provenance, concept_choices=candidate.provenance.concept_choices
+        for expansion in lap("pathFind", list(wanted)):
+            provenance = Provenance(
+                candidate.provenance.concept_choices, expansion.provenance.path_choices
             )
-            restored = timed("valueReinsert", reinsert_data_values, expansion.ast, bindings)
-            comprehension = timed("mcc", to_mcc, restored, context.naming)
-            cql_query = timed("cql", mcc_to_cql, comprehension, context.model)
+            restored = lap("valueReinsert", reinsert_data_values(expansion.ast, bindings))
+            comprehension = lap("mcc", to_mcc(restored, context.naming))
+            cql_query = lap("cql", mcc_to_cql(comprehension, context.model))
             results.append(
                 RewriteResult(
                     cql=cql_query,

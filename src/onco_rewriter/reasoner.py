@@ -247,13 +247,18 @@ def association_reachable(index: SubsumptionIndex, source: str, target: str) -> 
     paths: a class sitting on a cycle does not reach itself.
     """
     _require_known(index, source, target)
-    reached_set = index.reach.get(source)
-    if reached_set is None:
+    return not (reach(index, source) & _toward(index, target)[0]) <= {source}
+
+
+def reach(index: SubsumptionIndex, source: str) -> frozenset[str]:
+    """The classes association steps lead to from ``source``, kept in ``index.reach``."""
+    reached = index.reach.get(source)
+    if reached is None:
         def targets(name: str) -> list[str]:
             return [r for _, r in index.assoc_edges[name]]
 
-        reached_set = index.reach[source] = frozenset(closure(targets(source), targets))
-    return not (reached_set & _toward(index, target)[0]) <= {source}
+        reached = index.reach[source] = frozenset(closure(targets(source), targets))
+    return reached
 
 
 def find_paths(

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from onco_rewriter import pipeline
 from onco_rewriter.cql import (
     CqlAssociation,
     CqlAttribute,
@@ -41,6 +42,7 @@ from onco_rewriter.pipeline import (
     ValueBinding,
     _context_attribute,
     _context_class,
+    cql_depth,
     extract_data_values,
     extract_uml,
     find_property_paths,
@@ -55,6 +57,7 @@ from onco_rewriter.pipeline import (
     to_mcc,
     validate_semantics,
 )
+from onco_rewriter.reasoner import reach
 from onco_rewriter.synthetic import random_resolved_tree, resolve_seed
 
 from conftest import CABIO_QUERY, FIXTURES
@@ -263,6 +266,28 @@ def test_extract_values_identity_when_absent():
     stripped, bindings = extract_data_values(tree)
     assert stripped == tree
     assert bindings == []
+
+
+def test_extract_values_returns_what_holds_no_value_as_the_same_object():
+    plain = parse_query(
+        "Gene and hasAttribute some (Gene_Symbol) and hasAssociation some (Chromosome)"
+    )
+    stripped, bindings = extract_data_values(plain)
+    assert stripped is plain and bindings == []
+    valued = parse_query(
+        'Gene and hasAttribute some (Gene_Symbol and hasValue value "TGFB1")'
+        " and hasAssociation some (Chromosome and hasAttribute some (Name))"
+    )
+    stripped, bindings = extract_data_values(valued)
+    assert [binding.written for binding in bindings] == [valued.items[1].inner]
+    assert stripped.items[1] == HasAttributeSome(ConceptRef("Gene_Symbol"))
+    assert stripped.items[0] is valued.items[0]
+    assert stripped.items[2] is valued.items[2]
+    rng = random.Random(resolve_seed())
+    for _ in range(100):
+        tree = random_resolved_tree(rng)
+        stripped, bindings = extract_data_values(tree)
+        assert (stripped is tree) == (not bindings)
 
 
 def test_extract_values_depth_first_order():
@@ -529,6 +554,26 @@ def test_no_path_error_names_the_pair():
     stripped = And((UmlClassRef("c:A"), HasAssociationSome(UmlClassRef("c:C"))))
     with pytest.raises(NoPathError, match="c:A.*c:C"):
         find_property_paths(stripped, chain_context.index, 2)
+
+
+def test_cql_depth_reads_reach_without_a_validation_first(cabio_model, ncit_thesaurus):
+    """A walk cut at ``cap`` is bounded by the classes its source reaches,
+    which ``cql_depth`` reads through ``reach``; the memo used to be filled
+    only by ``association_reachable``, so without a validation first the
+    read raised ``KeyError``."""
+    index = prepare_context(cabio_model, ncit_thesaurus).index
+    resolved = extract_uml(parse_query(CABIO_QUERY), index)[0].ast
+    stripped, _ = extract_data_values(resolved)
+    expansions = find_property_paths(stripped, index, cap=0)
+    assert index.reach == {}
+    depth = cql_depth(resolved, expansions, cap=0, index=index)
+    assert set(index.reach) == {"c:SNP"}
+
+    validated = prepare_context(cabio_model, ncit_thesaurus).index
+    assert validate_semantics(stripped, validated).ok
+    assert validated.reach == index.reach
+    assert cql_depth(resolved, expansions, cap=0, index=validated) == depth
+    assert reach(index, "c:SNP") is index.reach["c:SNP"]
 
 
 # --- monoid comprehension -----------------------------------------------------------
@@ -1041,3 +1086,33 @@ def test_rewrite_leaves_no_reference_cycles(cabio_context):
         gc.collect()
         assert _outcome_kind(context, query, options) == expected
         assert gc.collect() == 0, (query, expected)
+
+
+class OneMicrosecondClock:
+    """A stand-in for the ``time`` module whose process clock advances
+    1,000 ns at every read."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def process_time_ns(self) -> int:
+        self.reads += 1
+        return self.reads * 1000
+
+
+@pytest.mark.parametrize(
+    "query, candidates",
+    [(CABIO_QUERY, 1), ("Location and hasAssociation some (Chromosome)", 5)],
+)
+def test_stage_durations_add_up_to_the_time_between_the_first_and_last_read(
+    cabio_context, monkeypatch, query, candidates
+):
+    """The driver reads the clock once at the start and once per stage
+    boundary, so the eight stages hold every microsecond but the first."""
+    assert extract_uml(parse_query(query), cabio_context.index).size == candidates
+    clock = OneMicrosecondClock()
+    monkeypatch.setattr(pipeline, "time", clock)
+    outcome = rewrite_prepared(cabio_context, query)
+    assert list(outcome.durations_us) == list(pipeline.STAGES)
+    assert min(outcome.durations_us.values()) >= 1.0
+    assert sum(outcome.durations_us.values()) == clock.reads - 1
